@@ -13,6 +13,30 @@ INCONSISTENT = "inconsistent"
 UNDERDETERMINED = "underdetermined"
 
 
+def _rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
+    """Reduce ``rows`` in place to reduced row echelon form over their
+    first ``ncols`` columns; returns the pivot columns."""
+    nrows = len(rows)
+    pivot_cols: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [vi - factor * vr for vi, vr in zip(rows[i], rows[r])]
+        pivot_cols.append(c)
+        r += 1
+    return pivot_cols
+
+
 def solve_linear(
     a: list[list[Fraction]], b: list[Fraction]
 ) -> tuple[str, tuple[Fraction, ...] | None]:
@@ -22,34 +46,13 @@ def solve_linear(
     UNDERDETERMINED; ``x`` is the solution tuple only when unique. The
     system may be rectangular.
     """
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
+    ncols = len(a[0]) if a else 0
     aug = [[Fraction(v) for v in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                factor = aug[i][c]
-                aug[i] = [vi - factor * vr for vi, vr in zip(aug[i], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-
-    for i in range(r, nrows):
-        if aug[i][ncols] != 0:
-            return INCONSISTENT, None
+    pivot_cols = _rref(aug, ncols)
+    if any(row[ncols] != 0 for row in aug[len(pivot_cols):]):
+        return INCONSISTENT, None
     if len(pivot_cols) < ncols:
         return UNDERDETERMINED, None
-
     x = [Fraction(0)] * ncols
     for i, c in enumerate(pivot_cols):
         x[c] = aug[i][ncols]
@@ -58,21 +61,4 @@ def solve_linear(
 
 def matrix_rank(a: list[list[Fraction]]) -> int:
     """Rank of a rational matrix."""
-    rows = [list(map(Fraction, row)) for row in a]
-    nrows, ncols = len(rows), len(rows[0]) if rows else 0
-    rank = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(rank, nrows) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][c]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for i in range(nrows):
-            if i != rank and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [vi - factor * vr for vi, vr in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    return len(_rref([list(map(Fraction, row)) for row in a], len(a[0]) if a else 0))

@@ -6,9 +6,11 @@ Here the forecast itself is treated as a generalized random variable: the
 map sending each outcome to the pragmatic conditional row at its
 conditioner value.
 
-Row equality is exact rational equality by default; an optional additive
-tolerance can relax the grouping of forecasts for near-calibration
-studies.
+Both calibration checks are plain safety checks in disguise: full
+calibration is ``valid`` with the forecast map as conditioner, mean
+calibration ``sqerr`` with the conditional-mean map, and both compile to
+the residuals of :mod:`safeprob.safety`. Row equality is exact rational
+equality.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ from .core import (
     CredalSet,
     Pmf,
     Rv,
+    condition,
     conditional_table,
     determines,
-    essentially_unique,
+    expectation,
     joint_rv,
     support,
     value_pmf,
@@ -34,16 +37,18 @@ from .errors import (
     EquivalenceViolation,
     MissingDetermination,
     NonNumericTarget,
-    NotEssentiallyUnique,
 )
 from .safety import (
+    LEFT_AVERAGE,
     LEFT_FULL,
     RIGHT_PLAIN,
     RIGHT_SQUARE,
-    Counterexample,
     SafetyQuery,
     Verdict,
     check_safety,
+    first_failure,
+    notion_residuals,
+    require_unique,
 )
 
 
@@ -53,10 +58,6 @@ def encode_row(row: Mapping) -> tuple:
         sorted(((uv, Fraction(pr)) for uv, pr in row.items()),
                key=lambda kv: value_sort_key(kv[0]))
     )
-
-
-def decode_row(encoded: tuple) -> dict:
-    return dict(encoded)
 
 
 @dataclass(frozen=True)
@@ -77,45 +78,15 @@ def predicted_distribution_rv(
     return PredictedDistributionRv(base=table, as_rv=Rv.generalized(ptilde.space, label, values))
 
 
-def _guard(ptilde: Pmf, v: Rv, credal: CredalSet) -> tuple:
-    verts = credal.vertex_list()
-    if not essentially_unique(ptilde, v, credal):
-        raise NotEssentiallyUnique(
-            f"pragmatic conditionals on {v.name} are not essentially unique"
-        )
-    return verts
-
-
 def check_calibrated_full(u: Rv, v: Rv, ptilde: Pmf, credal: CredalSet) -> Verdict:
     """Full-distribution calibration: for every credal vertex and every
     forecast row issued at some vertex-supported conditioning value, the
     vertex's conditional on that forecast equals the forecast. Checked in
     the denominator-cleared exact form; zero-mass forecasts are vacuous."""
-    verts = _guard(ptilde, v, credal)
+    verts = require_unique(ptilde, v, credal)
     pred = predicted_distribution_rv(ptilde, u, v).as_rv
-    rows = sorted(
-        {pred.table[z] for p in verts for z in p.space.atoms if p.weights[z] > 0},
-        key=value_sort_key,
-    )
-    u_range = u.range()
-    for p in verts:
-        for row in rows:
-            mass = p.prob(pred, row)
-            forecast = decode_row(row)
-            for uv in u_range:
-                joint = sum(
-                    (p.weights[z] for z in p.space.atoms
-                     if u.table[z] == uv and pred.table[z] == row),
-                    start=Fraction(0),
-                )
-                if joint != forecast[uv] * mass:
-                    return Verdict(
-                        holds=False,
-                        counterexample=Counterexample(
-                            vertex=p, v=row, u=uv, lhs=joint, rhs=forecast[uv] * mass
-                        ),
-                    )
-    return Verdict(holds=True)
+    ce = first_failure(notion_residuals(LEFT_FULL, RIGHT_PLAIN, u, pred, ptilde), verts)
+    return Verdict(holds=ce is None, counterexample=ce)
 
 
 def check_calibrated_mean(u: Rv, v: Rv, ptilde: Pmf, credal: CredalSet) -> Verdict:
@@ -123,43 +94,12 @@ def check_calibrated_mean(u: Rv, v: Rv, ptilde: Pmf, credal: CredalSet) -> Verdi
     taking a value, the actual conditional mean equals that value."""
     if not u.is_numeric:
         raise NonNumericTarget(f"mean calibration needs a numeric target, got {u.name!r}")
-    verts = _guard(ptilde, v, credal)
-    from .core import condition, expectation
-
-    mean_at = {}
-    for val in sorted(support(ptilde, v), key=value_sort_key):
-        mean_at[val] = expectation(condition(ptilde, v, val), u)
-    fallback = tuple(
-        sum((uv[j] for uv in u.range()), start=Fraction(0)) / len(u.range())
-        for j in range(len(u.range()[0]))
-    )
-    mean_rv = Rv.generalized(
-        ptilde.space,
-        f"mean({u.name}|{v.name})",
-        {z: mean_at.get(v.table[z], fallback) for z in ptilde.space.atoms},
-    )
-    mus = sorted(
-        {mean_rv.table[z] for p in verts for z in p.space.atoms if p.weights[z] > 0},
-        key=value_sort_key,
-    )
-    arity = len(mus[0])
-    for p in verts:
-        for mu in mus:
-            mass = p.prob(mean_rv, mu)
-            for j in range(arity):
-                weighted = sum(
-                    (p.weights[z] * u.table[z][j] for z in p.space.atoms
-                     if mean_rv.table[z] == mu),
-                    start=Fraction(0),
-                )
-                if weighted != mu[j] * mass:
-                    return Verdict(
-                        holds=False,
-                        counterexample=Counterexample(
-                            vertex=p, v=mu, lhs=weighted, rhs=mu[j] * mass
-                        ),
-                    )
-    return Verdict(holds=True)
+    verts = require_unique(ptilde, v, credal)
+    mean_at = {val: expectation(condition(ptilde, v, val), u) for val in support(ptilde, v)}
+    mean_rv = v.compose(f"mean({u.name}|{v.name})", mean_at.get)
+    residuals = notion_residuals(LEFT_AVERAGE, RIGHT_PLAIN, u, mean_rv, ptilde, cleared=True)
+    ce = first_failure(residuals, verts)
+    return Verdict(holds=ce is None, counterexample=ce)
 
 
 def ignores(ptilde: Pmf, u: Rv, v: Rv, vprime: Rv) -> bool:
@@ -174,8 +114,6 @@ def ignores(ptilde: Pmf, u: Rv, v: Rv, vprime: Rv) -> bool:
         raise MissingDetermination(
             f"{v.name} does not determine {vprime.name} almost surely"
         )
-    from .core import condition
-
     pair = joint_rv(v, vprime)
     rows_prime = {
         pv: value_pmf(condition(ptilde, vprime, pv), u)

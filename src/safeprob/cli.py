@@ -7,9 +7,10 @@ conditioning), ``coverage`` (Monte Carlo confidence coverage) and
 
 Exit codes: 0 when the queried notion holds (or all demo assertions
 pass), 1 when it fails (the printed report carries a counterexample),
-2 for usage or validation errors. Reports are deterministic: identical
-inputs, including seeds, produce byte-identical output. ``--json``
-switches to a machine-readable rendering with stable field order.
+2 for usage, input or validation errors. Reports are deterministic:
+identical inputs, including seeds, produce byte-identical output.
+``--json`` switches to a machine-readable rendering with stable field
+order.
 """
 
 from __future__ import annotations
@@ -64,28 +65,17 @@ def _verdict_json(verdict: Verdict) -> dict:
 
 
 def _verdict_lines(name: str, verdict: Verdict) -> list[str]:
+    """Text rendering of :func:`_verdict_json`'s dict."""
+    entry = _verdict_json(verdict)
     label = NOTION_NOTATION.get(name, name)
-    lines = [f"{name} ({label}): {'HOLDS' if verdict.holds else 'FAILS'}"]
-    ce = verdict.counterexample
-    if ce is not None:
-        if ce.vertex is not None:
-            mass = " ".join(
-                f"{z}={w}" for z, w in ce.vertex.weights.items() if w
-            )
-            lines.append(f"  counterexample vertex: {mass}")
-        detail = []
-        for key in ("v", "w", "u"):
-            val = getattr(ce, key)
-            if val is not None:
-                detail.append(f"{key}={format_value(val)}")
-        for key in ("lhs", "rhs"):
-            val = getattr(ce, key)
-            if val is not None:
-                detail.append(f"{key}={val}")
-        if detail:
-            lines.append("  " + " ".join(detail))
-    for note in verdict.notes:
-        lines.append(f"  note: {note}")
+    lines = [f"{name} ({label}): {'HOLDS' if entry['holds'] else 'FAILS'}"]
+    body = dict(entry["counterexample"] or {})
+    if "vertex" in body:
+        mass = " ".join(f"{z}={w}" for z, w in body.pop("vertex").items())
+        lines.append(f"  counterexample vertex: {mass}")
+    if body:
+        lines.append("  " + " ".join(f"{key}={val}" for key, val in body.items()))
+    lines += [f"  note: {note}" for note in entry["notes"]]
     return lines
 
 
@@ -366,10 +356,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except SafeprobError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (SafeprobError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,8 +27,6 @@ from .errors import (
     ZeroProbabilityConditioning,
 )
 
-Rational = Fraction
-
 # A random variable value is either a numeric vector (tuple of rationals)
 # or an opaque symbol. Derived generalized variables may carry other
 # hashable values (pairs, encoded distributions); see Rv.generalized.
@@ -45,9 +43,12 @@ def size_limit() -> int:
     if raw is None:
         return DEFAULT_SIZE_LIMIT
     try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"{_SIZE_LIMIT_ENV} must be an integer, got {raw!r}") from exc
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValidationError(f"{_SIZE_LIMIT_ENV} must be a positive integer, got {raw!r}")
+    return cap
 
 
 def as_rational(x) -> Fraction:

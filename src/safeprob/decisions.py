@@ -25,16 +25,11 @@ from .core import (
     Rv,
     as_rational,
     conditional_table,
-    essentially_unique,
     support,
     value_sort_key,
 )
-from .errors import (
-    InfiniteLoss,
-    NotEssentiallyUnique,
-    ValidationError,
-)
-from .safety import Counterexample, Verdict
+from .errors import InfiniteLoss, ValidationError
+from .safety import Linear, Verdict, equal, first_failure, require_unique
 
 ZERO_ONE = "zero_one"
 BRIER = "brier"
@@ -168,12 +163,18 @@ def loss_value(loss: LossFunction, u_value, action: Action):
     return loss.custom_table[(u_value, action.action_id)]
 
 
-def _losses_equal(kind: str, a, b) -> bool:
-    if kind == LOG:
-        if math.isinf(a) or math.isinf(b):
-            return a == b
-        return abs(a - b) <= LOG_TOLERANCE
-    return a == b
+def _compile_policy(ptilde: Pmf, u: Rv, v: Rv, loss: LossFunction):
+    """What decision safety and its loss table share: the conditional
+    table, the Bayes policy per conditioning value, the believed loss per
+    supported conditioning value and the realized loss per atom."""
+    table = conditional_table(ptilde, u, v)
+    policy = {vv: bayes_act(loss, table.rows[vv]) for vv in v.range()}
+    believed = {
+        vv: sum(p * loss_value(loss, uu, policy[vv]) for uu, p in table.rows[vv].items() if p)
+        for vv in sorted(support(ptilde, v), key=value_sort_key)
+    }
+    losses = [loss_value(loss, u.table[z], policy[v.table[z]]) for z in ptilde.space.atoms]
+    return table, policy, believed, losses
 
 
 def check_decision_safety(
@@ -186,67 +187,46 @@ def check_decision_safety(
     conditional expected loss at v0. Exact rational comparison except for
     the log score, compared to within 1e-12.
     """
-    verts = credal.vertex_list()
-    if not essentially_unique(ptilde, v, credal):
-        raise NotEssentiallyUnique(
-            f"pragmatic conditionals on {v.name} are not essentially unique"
-        )
-    notes: list[str] = []
+    verts = require_unique(ptilde, v, credal)
     if loss.kind == CUSTOM:
         missing = set(u.range()) - set(loss.outcomes())
         if missing:
             raise ValidationError(
                 f"custom loss table lacks outcomes {sorted(missing, key=value_sort_key)}"
             )
-    table = conditional_table(ptilde, u, v)
+    table, policy, believed, losses = _compile_policy(ptilde, u, v, loss)
+    notes: list[str] = []
     if table.arbitrary_rows:
         notes.append(
             "policy at unsupported conditioning values uses the uniform fill row"
         )
-    policy = {}
-    for vv in v.range():
-        act = bayes_act(loss, table.rows[vv])
+    for vv, act in policy.items():
         if act.tied:
             notes.append(f"Bayes-act tie at conditioning value {vv!r} broken canonically")
-        policy[vv] = act
+    for vv, total in believed.items():
+        if total == math.inf:
+            uu = next(uu for uu, p in table.rows[vv].items()
+                      if p and loss_value(loss, uu, policy[vv]) == math.inf)
+            raise InfiniteLoss(
+                f"believed loss infinite at conditioning value {vv!r}, outcome {uu!r}"
+            )
 
-    supported = sorted(support(ptilde, v), key=value_sort_key)
-    believed = {}
-    for vv in supported:
-        total = Fraction(0) if loss.kind != LOG else 0.0
-        for uu, p in table.rows[vv].items():
-            if p == 0:
-                continue
-            term = loss_value(loss, uu, policy[vv])
-            if term == math.inf:
-                raise InfiniteLoss(
-                    f"believed loss infinite at conditioning value {vv!r}, outcome {uu!r}"
-                )
-            total = total + p * term if loss.kind != LOG else total + float(p) * term
-        believed[vv] = total
-
-    for p in verts:
-        actual = Fraction(0) if loss.kind != LOG else 0.0
-        for z in p.space.atoms:
-            w = p.weights[z]
-            if w == 0:
-                continue
-            term = loss_value(loss, u.table[z], policy[v.table[z]])
-            if term == math.inf:
-                raise InfiniteLoss(
-                    f"realized loss infinite at atom {z!r} under a credal vertex"
-                )
-            actual = actual + w * term if loss.kind != LOG else actual + float(w) * term
-        for vv in supported:
-            if not _losses_equal(loss.kind, actual, believed[vv]):
-                return Verdict(
-                    holds=False,
-                    counterexample=Counterexample(
-                        vertex=p, v=vv, lhs=actual, rhs=believed[vv]
-                    ),
-                    notes=tuple(notes),
-                )
-    return Verdict(holds=True, notes=tuple(notes))
+    atoms = ptilde.space.atoms
+    infinite = [i for i, c in enumerate(losses) if c == math.inf]
+    residuals = []
+    if infinite:  # any mass on these atoms makes the realized loss infinite
+        residuals.append(equal(
+            Linear({i: 1 for i in infinite}), Linear({}),
+            error=lambda p: InfiniteLoss(
+                f"realized loss infinite at atom "
+                f"{next(atoms[i] for i in infinite if p.weights[atoms[i]])!r} "
+                "under a credal vertex"),
+        ))
+    actual = Linear({i: c for i, c in enumerate(losses) if c != math.inf})
+    tol = LOG_TOLERANCE if loss.kind == LOG else None
+    residuals += [equal(actual, Linear({}, b), v=vv, tol=tol) for vv, b in believed.items()]
+    ce = first_failure(residuals, verts)
+    return Verdict(holds=ce is None, counterexample=ce, notes=tuple(notes))
 
 
 def decision_loss_table(
@@ -255,21 +235,10 @@ def decision_loss_table(
     """Believed conditional losses per conditioning value and actual
     expected losses per credal vertex, for reporting alongside
     :func:`check_decision_safety`."""
-    table = conditional_table(ptilde, u, v)
-    policy = {vv: bayes_act(loss, table.rows[vv]) for vv in v.range()}
-    believed = {}
-    for vv in sorted(support(ptilde, v), key=value_sort_key):
-        believed[vv] = sum(
-            p * loss_value(loss, uu, policy[vv])
-            for uu, p in table.rows[vv].items() if p
-        )
-    actual = []
-    for vertex in credal.vertex_list():
-        actual.append(sum(
-            w * loss_value(loss, u.table[z], policy[v.table[z]])
-            for z, w in vertex.weights.items() if w
-        ))
-    return {"policy": policy, "believed": believed, "actual": actual}
+    _, policy, believed, losses = _compile_policy(ptilde, u, v, loss)
+    actual = Linear(dict(enumerate(losses)))
+    return {"policy": policy, "believed": believed,
+            "actual": [actual.at(p.as_tuple(), 1) for p in credal.vertex_list()]}
 
 
 def gamble_demo(theta_bar: float, n: int, samples: int, seed: int) -> dict:

@@ -16,7 +16,7 @@ pivotal safety with this one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -40,10 +40,13 @@ from .errors import (
 from .safety import (
     LEFT_FULL,
     RIGHT_SQUARE,
-    Counterexample,
+    Linear,
     SafetyQuery,
     Verdict,
     check_safety,
+    equal,
+    first_failure,
+    stratify,
 )
 
 
@@ -72,19 +75,31 @@ class PivotVerdict:
     failure: Optional[str] = None
 
 
-def _induced_pmf(p: Pmf, u: Rv, v: Rv, spec: PivotSpec, atoms: Sequence[str]) -> dict:
-    out: dict = {}
-    for z in atoms:
-        w = p.weights[z]
-        if w:
-            val = spec.mapping[(u.table[z], v.table[z])]
-            out[val] = out.get(val, Fraction(0)) + w
-    return out
+def _law_residuals(pivot: dict, law: Mapping, cells: Mapping) -> list:
+    """P(T = t, C = c) = law[t] * P(C = c) for every cell c (atom indices)
+    and pivot value t, where ``pivot`` maps atom indices to pivot values;
+    printed as conditional probabilities given the cell."""
+    values = sorted(set(pivot.values()), key=value_sort_key)
+    return [
+        equal(Linear({i: 1 for i in idx if pivot[i] == t}), Linear(dict.fromkeys(idx, law[t])),
+              v=c, u=t, denom=Linear(dict.fromkeys(idx, 1)))
+        for c, idx in cells.items() for t in values
+    ]
+
+
+def _law(pivot: dict, x: Sequence) -> dict:
+    """Law of the pivot under the weights ``x`` conditioned on its atoms."""
+    total = sum(x[i] for i in pivot)
+    law = dict.fromkeys(pivot.values(), Fraction(0))
+    for i, t in pivot.items():
+        law[t] += x[i] / total
+    return law
 
 
 def _check_pivot_on(
-    spec: PivotSpec, u: Rv, v: Rv, verts: Sequence[Pmf], atoms: Sequence[str]
+    spec: PivotSpec, u: Rv, v: Rv, verts: Sequence[Pmf], stratum: Sequence[int]
 ) -> PivotVerdict:
+    atoms = [u.space.atoms[i] for i in stratum]
     cells = {(u.table[z], v.table[z]) for z in atoms}
     for cell in cells:
         if cell not in spec.mapping:
@@ -107,9 +122,10 @@ def _check_pivot_on(
                 )
         images[vv] = set(seen)
 
-    laws = [_induced_pmf(p, u, v, spec, atoms) for p in verts]
-    for law in laws[1:]:
-        if law != laws[0]:
+    if verts:
+        pivot = _pivot_table(spec, u, v, stratum)
+        law = _law(pivot, verts[0].as_tuple())
+        if first_failure(_law_residuals(pivot, law, {None: stratum}), verts, stratum) is not None:
             return PivotVerdict(
                 False, False, "credal members disagree on the pivot distribution"
             )
@@ -120,12 +136,17 @@ def _check_pivot_on(
     return PivotVerdict(True, simple, failure)
 
 
+def _pivot_table(spec: PivotSpec, u: Rv, v: Rv, stratum: Sequence[int]) -> dict:
+    atoms = u.space.atoms
+    return {i: spec.mapping[(u.table[atoms[i]], v.table[atoms[i]])] for i in stratum}
+
+
 def check_pivot(spec: PivotSpec, u: Rv, v: Rv, credal: CredalSet) -> PivotVerdict:
     """Verify the pivot requirements: a well-defined map, injectivity in
     the target per conditioning value, and credal agreement on the
     induced law. Simple additionally means each per-value map is onto the
     whole pivot range."""
-    return _check_pivot_on(spec, u, v, credal.vertex_list(), u.space.atoms)
+    return _check_pivot_on(spec, u, v, credal.vertex_list(), range(len(u.space)))
 
 
 def check_pivotal_safety(
@@ -143,6 +164,8 @@ def check_pivotal_safety(
     given; ``w`` must be determined by the conditioner). Holds when the
     pivot is independent of the conditioner under the pragmatic
     distribution and its pragmatic law equals the common credal law.
+    A counterexample names the pragmatic distribution or the first
+    credal vertex, conditioned on the stratum when ``w`` is given.
     """
     if support(ptilde, v) != set(v.range()):
         raise NotFullSupport(
@@ -153,53 +176,31 @@ def check_pivotal_safety(
 
     verts = credal.vertex_list()
     notes: list[str] = []
-
-    def run_stratum(pt: Pmf, vs: Sequence[Pmf], atoms: Sequence[str], wv) -> Optional[Counterexample]:
-        pv = _check_pivot_on(spec, u, v, vs, atoms)
+    strata = ([(None, range(len(u.space)), verts)] if w is None
+              else stratify(w, w.range(), verts, notes))
+    for wv, stratum, kept in strata:
+        pv = _check_pivot_on(spec, u, v, kept, stratum)
         if not pv.is_pivot:
             raise NotAPivot(pv.failure or "pivot requirements not met")
-        overall = _induced_pmf(pt, u, v, spec, atoms)
-        for vv in sorted({v.table[z] for z in atoms}, key=value_sort_key):
-            pt_v = condition(pt, v, vv)
-            row = _induced_pmf(pt_v, u, v, spec, atoms)
-            if row != overall:
-                val = next(
-                    k for k in sorted(set(row) | set(overall), key=value_sort_key)
-                    if row.get(k, 0) != overall.get(k, 0)
-                )
-                notes.append("pragmatic pivot law varies with the conditioner")
-                return Counterexample(
-                    vertex=pt, v=vv, w=wv, u=val,
-                    lhs=row.get(val, Fraction(0)), rhs=overall.get(val, Fraction(0)),
-                )
-        if vs:
-            common = _induced_pmf(vs[0], u, v, spec, atoms)
-            if common != overall:
-                val = next(
-                    k for k in sorted(set(common) | set(overall), key=value_sort_key)
-                    if common.get(k, 0) != overall.get(k, 0)
-                )
-                notes.append("pragmatic pivot law differs from the common credal law")
-                return Counterexample(
-                    vertex=vs[0], w=wv, u=val,
-                    lhs=common.get(val, Fraction(0)), rhs=overall.get(val, Fraction(0)),
-                )
-        return None
-
-    if w is None:
-        ce = run_stratum(ptilde, verts, ptilde.space.atoms, None)
-        return Verdict(holds=ce is None, counterexample=ce, notes=tuple(notes))
-
-    for wv in sorted(set(w.range()), key=value_sort_key):
-        atoms_w = [z for z in ptilde.space.atoms if w.table[z] == wv]
-        pt_w = condition(ptilde, w, wv)
-        kept = [condition(p, w, wv) for p in verts if p.prob(w, wv) > 0]
-        skipped = len(verts) - len(kept)
-        if skipped:
-            notes.append(f"stratum {w.name}={wv!r}: skipped {skipped} zero-mass vertex(es)")
-        ce = run_stratum(pt_w, kept, atoms_w, wv)
-        if ce is not None:
-            return Verdict(holds=False, counterexample=ce, notes=tuple(notes))
+        pivot = _pivot_table(spec, u, v, stratum)
+        overall = _law(pivot, ptilde.as_tuple())
+        by_value: dict = {}
+        for i in stratum:
+            by_value.setdefault(v.table[u.space.atoms[i]], []).append(i)
+        cells = {vv: by_value[vv] for vv in sorted(by_value, key=value_sort_key)}
+        checks = (
+            (_law_residuals(pivot, overall, cells), [ptilde],
+             "pragmatic pivot law varies with the conditioner"),
+            (_law_residuals(pivot, overall, {None: stratum}), kept[:1],
+             "pragmatic pivot law differs from the common credal law"),
+        )
+        for residuals, vertices, note in checks:
+            ce = first_failure(residuals, vertices, stratum, wv)
+            if ce is not None:
+                notes.append(note)
+                if w is not None:
+                    ce = replace(ce, vertex=condition(ce.vertex, w, wv))
+                return Verdict(holds=False, counterexample=ce, notes=tuple(notes))
     return Verdict(holds=True, notes=tuple(notes))
 
 

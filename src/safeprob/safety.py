@@ -21,35 +21,44 @@ mixture supports the union, and varying the mixture weight forces each
 vertex's residual to vanish, so nothing in the interior can fail without
 a vertex failing. All discrete checks are exact rational comparisons.
 
-An optional stratifier W turns a query into its per-stratum version: both
-the pragmatic distribution and the credal vertices are conditioned on
-W = w for every vertex-supported w, and vertices giving w zero mass are
-skipped for that stratum.
+Each exact notion is therefore compiled once per query, from the
+pragmatic distribution alone, to an ordered list of :class:`Residual`
+conditions lo(P) <= lhs(P) <= hi(P) on the atom probabilities, and one
+evaluator, :func:`first_failure`, scans them against the vertices. The
+calibration, decision and pivot checks compile to the same form. The
+full-distribution range notion (``dist-range``) is the one non-linear
+check: it tests convex-hull membership of each vertex's target law.
 
-Everything here is a pure function over immutable inputs; per-vertex
-checks are independent, and the reported counterexample is always the
-first failure in (vertex order, value order), so results are
-deterministic and safe to compute concurrently.
+An optional stratifier W turns a query into its per-stratum version: for
+every vertex-supported w the residuals are compiled from the pragmatic
+distribution on W = w and cleared by P(W = w), so they apply to the
+unconditioned vertices; vertices giving w zero mass are skipped for that
+stratum.
+
+Everything here is a pure function over immutable inputs, and the
+reported counterexample is always the first failure in (stratum, vertex,
+residual) order, so results are deterministic and safe to compute
+concurrently.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from ._linalg import UNIQUE, matrix_rank, solve_linear
 from .core import (
     CredalSet,
     Pmf,
     Rv,
-    condition,
     essentially_unique,
-    expectation,
+    format_value,
     joint_rv,
     support,
-    value_pmf,
     value_sort_key,
 )
 from .errors import NonNumericTarget, NotEssentiallyUnique, ValidationError
@@ -133,19 +142,6 @@ class Verdict:
             raise ValidationError("failing verdict requires a counterexample")
 
 
-def _conditional_rows(ptilde: Pmf, u: Rv, v: Rv) -> tuple[list, dict]:
-    """Supported conditioning values (canonical order) and their rows."""
-    supported = sorted(support(ptilde, v), key=value_sort_key)
-    rows = {val: value_pmf(condition(ptilde, v, val), u) for val in supported}
-    return supported, rows
-
-
-def _conditional_means(ptilde: Pmf, u: Rv, v: Rv) -> tuple[list, dict]:
-    supported = sorted(support(ptilde, v), key=value_sort_key)
-    means = {val: expectation(condition(ptilde, v, val), u) for val in supported}
-    return supported, means
-
-
 def hull_membership(point: Mapping, generators: Sequence[Mapping]) -> bool:
     """Is ``point`` a convex combination of ``generators``?
 
@@ -174,139 +170,234 @@ def hull_membership(point: Mapping, generators: Sequence[Mapping]) -> bool:
     return False
 
 
-def _scan_vertices(verts, per_vertex):
-    """Run ``per_vertex`` over vertices in order; first counterexample wins."""
-    for p in verts:
-        ce = per_vertex(p)
-        if ce is not None:
-            return ce
+class Linear(NamedTuple):
+    """The functional sum_i coeffs[i] * P(atom i) + const * P(stratum).
+
+    ``coeffs`` maps atom indices to coefficients; the constant is carried
+    through the stratum's mass, which is 1 without a stratifier."""
+
+    coeffs: Mapping[int, object]
+    const: object = 0
+
+    def at(self, x: Sequence, mass):
+        """Value at the weight vector ``x`` whose stratum has mass ``mass``."""
+        return self.const * mass + sum(c * x[i] for i, c in self.coeffs.items() if x[i])
+
+
+@dataclass(frozen=True)
+class Residual:
+    """One condition lo(P) <= lhs(P) <= hi(P), an equality when ``lo is hi``.
+
+    ``v`` and ``u`` label its counterexample, which reports the values of
+    ``lhs`` and of the violated bound divided by ``denom`` (by the stratum's
+    mass when None). ``tol`` compares float values within an additive
+    tolerance instead of exactly; ``error`` makes a failure raise
+    ``error(vertex)`` instead of yielding a counterexample."""
+
+    lhs: Linear
+    lo: Linear
+    hi: Linear
+    v: object = None
+    u: object = None
+    denom: Optional[Linear] = None
+    tol: Optional[float] = None
+    error: Optional[Callable[[Pmf], Exception]] = None
+
+
+def equal(lhs: Linear, rhs: Linear, **labels) -> Residual:
+    return Residual(lhs, rhs, rhs, **labels)
+
+
+@dataclass(frozen=True)
+class HullTest:
+    """The one non-linear check (``dist-range``): the target law of a
+    vertex on the stratum must lie in the convex hull of ``generators``.
+    ``cells`` maps each target value to its atom indices."""
+
+    cells: Mapping[object, list]
+    generators: list
+
+
+def _integer_row(plus: Linear, minus: Linear, stratum: Sequence[int], n: int) -> list[int]:
+    """Coefficients of ``plus - minus``, constants spread over the stratum,
+    scaled by a positive integer so that every entry is an integer."""
+    terms = [*plus.coeffs.items(), *((i, -c) for i, c in minus.coeffs.items())]
+    const = plus.const - minus.const
+    if const:
+        terms += [(i, const) for i in stratum]
+    scale = math.lcm(*(c.denominator for _, c in terms))
+    row = [0] * n
+    for i, c in terms:
+        row[i] += c.numerator * (scale // c.denominator)
+    return row
+
+
+def _dot(row: list[int], ints: list[int]) -> int:
+    return sum(map(operator.mul, row, ints))
+
+
+def first_failure(
+    residuals: Sequence, vertices: Sequence[Pmf], stratum: Optional[Sequence[int]] = None,
+    w: object = None,
+) -> Optional[Counterexample]:
+    """The evaluator: the first failing residual, scanning ``vertices`` in
+    order and each vertex's residuals in order.
+
+    ``stratum`` lists the atom indices of the stratum W = ``w`` the
+    residuals were compiled for (None: the whole space). Exact residuals
+    are decided on integer-scaled weights; the counterexample's values are
+    computed exactly once a residual fails.
+    """
+    if not vertices:
+        return None
+    n = len(vertices[0].space)
+    atoms = range(n) if stratum is None else stratum
+    rows = [
+        None if isinstance(r, HullTest) or r.tol is not None
+        else (_integer_row(r.lhs, r.lo, atoms, n),
+              None if r.lo is r.hi else _integer_row(r.hi, r.lhs, atoms, n))
+        for r in residuals
+    ]
+
+    def mass_of(x):
+        return Fraction(1) if stratum is None else sum((x[i] for i in stratum), Fraction(0))
+
+    for p in vertices:
+        x = p.as_tuple()
+        scale = math.lcm(*(c.denominator for c in x))
+        ints = [c.numerator * (scale // c.denominator) for c in x]
+        for r, row in zip(residuals, rows):
+            if isinstance(r, HullTest):
+                mass = mass_of(x)
+                law = {uv: sum((x[i] for i in idx), Fraction(0)) / mass
+                       for uv, idx in r.cells.items()}
+                if not hull_membership(law, r.generators):
+                    return Counterexample(vertex=p, w=w)
+                continue
+            if row is None:
+                mass = mass_of(x)
+                bound = r.lo if abs(r.lhs.at(x, mass) - r.lo.at(x, mass)) > r.tol else None
+            elif row[1] is None:
+                bound = r.lo if _dot(row[0], ints) else None
+            else:
+                bound = (r.lo if _dot(row[0], ints) < 0
+                         else r.hi if _dot(row[1], ints) < 0 else None)
+            if bound is not None:
+                if r.error is not None:
+                    raise r.error(p)
+                mass = mass_of(x)
+                denom = mass if r.denom is None else r.denom.at(x, mass)
+                return Counterexample(
+                    vertex=p, v=r.v, w=w, u=r.u,
+                    lhs=r.lhs.at(x, mass) / denom, rhs=bound.at(x, mass) / denom,
+                )
     return None
 
 
-def _check_unstratified(
-    query: SafetyQuery, ptilde: Pmf, verts: Sequence[Pmf]
-) -> Optional[Counterexample]:
-    u, v = query.target, query.conditioner
-    left, right = query.left_mode, query.right_mode
+def stratify(w: Rv, values: Sequence, vertices: Sequence[Pmf], notes: list):
+    """Yield ``(value, atom indices, vertices giving it mass)`` for each
+    stratum value of ``w`` in order, noting the vertices skipped."""
+    atoms = vertices[0].space.atoms
+    for wv in values:
+        stratum = [i for i, z in enumerate(atoms) if w.table[z] == wv]
+        kept = [p for p in vertices if any(p.weights[atoms[i]] for i in stratum)]
+        if len(kept) < len(vertices):
+            notes.append(f"stratum {w.name}={format_value(wv)}: "
+                         f"skipped {len(vertices) - len(kept)} zero-mass vertex(es)")
+        yield wv, stratum, kept
 
-    if left == LEFT_AVERAGE:
-        supported, means = _conditional_means(ptilde, u, v)
-        arity = len(next(iter(means.values()))) if means else 0
 
+def require_unique(ptilde: Pmf, v: Rv, credal: CredalSet) -> tuple[Pmf, ...]:
+    """The credal vertices, once the pragmatic conditionals on ``v`` are
+    essentially unique; raises NotEssentiallyUnique otherwise."""
+    verts = credal.vertex_list()
+    if not essentially_unique(ptilde, v, credal):
+        raise NotEssentiallyUnique(
+            f"pragmatic conditionals on {v.name} are not essentially unique"
+        )
+    return verts
+
+
+def notion_residuals(
+    left: str, right: str, u: Rv, v: Rv, ptilde: Pmf,
+    stratum: Optional[Sequence[int]] = None, cleared: bool = False,
+) -> list:
+    """Compile the (left, right) notion for target ``u`` and conditioner
+    ``v`` from the pragmatic distribution on ``stratum`` (atom indices;
+    None is the whole space), cleared of the stratum's mass.
+
+    Average-mode values per conditioning value (``sqerr``) print divided by
+    P(V = v) unless ``cleared``. Full-distribution ``dblsquare`` compiles to
+    a single :class:`HullTest`.
+    """
+    names, x = ptilde.space.atoms, ptilde.as_tuple()
+    atoms = range(len(names)) if stratum is None else stratum
+    ut = [u.table[z] for z in names]
+    vt = [v.table[z] for z in names]
+    cells: dict = {}
+    for i in atoms:
+        cells.setdefault(vt[i], []).append(i)
+    supported = sorted((val for val, idx in cells.items() if any(x[i] for i in idx)),
+                       key=value_sort_key)
+
+    # one component per target value (full) or coordinate (average):
+    # (counterexample label, coefficient per atom, pragmatic claim per value)
+    components = []
+    if left == LEFT_FULL:
+        u_range = u.range()
+        code = {uv: k for k, uv in enumerate(u_range)}
+        uk = [code[t] for t in ut]
+        rows = {}
+        for val in supported:
+            row = [Fraction(0)] * len(u_range)
+            for i in cells[val]:
+                row[uk[i]] += x[i]
+            total = sum(row)
+            rows[val] = [pr / total for pr in row]
         if right == RIGHT_DBLSQUARE:
-            bounds = [
-                (min(means[val][j] for val in supported),
-                 max(means[val][j] for val in supported))
-                for j in range(arity)
-            ]
+            return [HullTest(
+                cells={uv: [i for i in atoms if uk[i] == k] for k, uv in enumerate(u_range)},
+                generators=[dict(zip(u_range, rows[val])) for val in supported],
+            )]
+        for k, uv in enumerate(u_range):
+            components.append((uv, [int(j == k) for j in uk],
+                               {val: rows[val][k] for val in supported}))
+    else:
+        for j in range(len(ut[0])):
+            claims = {
+                val: sum((x[i] * ut[i][j] for i in cells[val]), Fraction(0))
+                / sum((x[i] for i in cells[val]), Fraction(0))
+                for val in supported
+            }
+            components.append((None, [t[j] for t in ut], claims))
 
-            def per_vertex(p):
-                e = expectation(p, u)
-                for j, (lo, hi) in enumerate(bounds):
-                    if not (lo <= e[j] <= hi):
-                        bound = lo if e[j] < lo else hi
-                        return Counterexample(vertex=p, u=None, lhs=e[j], rhs=bound)
-                return None
-
-        elif right == RIGHT_ANGLE:
-            def per_vertex(p):
-                e = expectation(p, u)
-                claim = [Fraction(0)] * arity
-                for val in sorted(support(p, v), key=value_sort_key):
-                    pv = p.prob(v, val)
-                    for j in range(arity):
-                        claim[j] += pv * means[val][j]
-                for j in range(arity):
-                    if e[j] != claim[j]:
-                        return Counterexample(vertex=p, lhs=e[j], rhs=claim[j])
-                return None
-
-        elif right == RIGHT_SQUARE:
-            def per_vertex(p):
-                e = expectation(p, u)
-                for val in supported:
-                    for j in range(arity):
-                        if e[j] != means[val][j]:
-                            return Counterexample(vertex=p, v=val, lhs=e[j], rhs=means[val][j])
-                return None
-
-        else:  # RIGHT_PLAIN, denominators cleared
-            def per_vertex(p):
-                for val in v.range():
-                    pv = p.prob(v, val)
-                    if pv == 0:
-                        continue
-                    mass_weighted = [Fraction(0)] * arity
-                    for z in p.space.atoms:
-                        if v.table[z] == val and p.weights[z]:
-                            for j, c in enumerate(u.table[z]):
-                                mass_weighted[j] += p.weights[z] * c
-                    for j in range(arity):
-                        if mass_weighted[j] != means[val][j] * pv:
-                            return Counterexample(
-                                vertex=p, v=val,
-                                lhs=mass_weighted[j] / pv, rhs=means[val][j],
-                            )
-                return None
-
-        return _scan_vertices(verts, per_vertex)
-
-    # left == LEFT_FULL: pointwise distribution checks over range(u)
-    supported, rows = _conditional_rows(ptilde, u, v)
-    u_range = u.range()
+    def part(coef, idx):
+        return Linear({i: coef[i] for i in idx if coef[i]})
 
     if right == RIGHT_PLAIN:
-        def per_vertex(p):
-            for val in v.range():
-                pv = p.prob(v, val)
-                if pv == 0:
-                    continue
-                for uv in u_range:
-                    joint = sum(
-                        (p.weights[z] for z in p.space.atoms
-                         if v.table[z] == val and u.table[z] == uv),
-                        start=Fraction(0),
-                    )
-                    if joint != rows[val][uv] * pv:
-                        return Counterexample(
-                            vertex=p, v=val, u=uv, lhs=joint, rhs=rows[val][uv] * pv
-                        )
-            return None
-
-    elif right == RIGHT_ANGLE:
-        def per_vertex(p):
-            actual = value_pmf(p, u)
-            claim = {uv: Fraction(0) for uv in u_range}
-            for val in sorted(support(p, v), key=value_sort_key):
-                pv = p.prob(v, val)
-                for uv in u_range:
-                    claim[uv] += rows[val][uv] * pv
-            for uv in u_range:
-                if actual[uv] != claim[uv]:
-                    return Counterexample(vertex=p, u=uv, lhs=actual[uv], rhs=claim[uv])
-            return None
-
-    elif right == RIGHT_SQUARE:
-        def per_vertex(p):
-            actual = value_pmf(p, u)
-            for val in supported:
-                for uv in u_range:
-                    if actual[uv] != rows[val][uv]:
-                        return Counterexample(
-                            vertex=p, v=val, u=uv, lhs=actual[uv], rhs=rows[val][uv]
-                        )
-            return None
-
-    else:  # RIGHT_DBLSQUARE: convex-hull membership of the target's law
-        generators = [rows[val] for val in supported]
-
-        def per_vertex(p):
-            actual = value_pmf(p, u)
-            if not hull_membership(actual, generators):
-                return Counterexample(vertex=p)
-            return None
-
-    return _scan_vertices(verts, per_vertex)
+        per_value = left == LEFT_AVERAGE and not cleared
+        return [
+            equal(part(coef, cells[val]), Linear(dict.fromkeys(cells[val], claims[val])),
+                  v=val, u=label,
+                  denom=Linear(dict.fromkeys(cells[val], 1)) if per_value else None)
+            for val in supported for label, coef, claims in components
+        ]
+    if right == RIGHT_ANGLE:
+        return [
+            equal(part(coef, atoms),
+                  Linear({i: claims[val] for val in supported for i in cells[val]}), u=label)
+            for label, coef, claims in components
+        ]
+    if right == RIGHT_SQUARE:
+        return [
+            equal(part(coef, atoms), Linear({}, claims[val]), v=val, u=label)
+            for val in supported for label, coef, claims in components
+        ]
+    return [  # RIGHT_DBLSQUARE, average: the bracket of the conditional means
+        Residual(part(coef, atoms), Linear({}, min(claims.values())),
+                 Linear({}, max(claims.values())), u=label)
+        for label, coef, claims in components
+    ]
 
 
 def check_safety(query: SafetyQuery, ptilde: Pmf, credal: CredalSet) -> Verdict:
@@ -319,44 +410,19 @@ def check_safety(query: SafetyQuery, ptilde: Pmf, credal: CredalSet) -> Verdict:
     u, v, w = query.target, query.conditioner, query.stratifier
     if query.left_mode == LEFT_AVERAGE and not u.is_numeric:
         raise NonNumericTarget(f"average-mode query needs a numeric target, got {u.name!r}")
-    verts = credal.vertex_list()
-    guard_rv = joint_rv(v, w) if w is not None else v
-    if not essentially_unique(ptilde, guard_rv, credal):
-        raise NotEssentiallyUnique(
-            f"pragmatic conditionals on {guard_rv.name} are not essentially unique"
-        )
+    verts = require_unique(ptilde, joint_rv(v, w) if w is not None else v, credal)
+    modes = (query.left_mode, query.right_mode)
 
     notes: list[str] = []
     if w is None:
-        ce = _check_unstratified(query, ptilde, verts)
-        return Verdict(holds=ce is None, counterexample=ce, notes=tuple(notes))
-
-    flat = SafetyQuery(u, query.left_mode, v, query.right_mode)
-    strata = sorted({wv for p in verts for wv in support(p, w)}, key=value_sort_key)
-    for wv in strata:
-        ptilde_w = condition(ptilde, w, wv)
-        kept, originals = [], []
-        for p in verts:
-            if p.prob(w, wv) > 0:
-                kept.append(condition(p, w, wv))
-                originals.append(p)
-        skipped = len(verts) - len(kept)
-        if skipped:
-            notes.append(f"stratum {w.name}={_fmt(wv)}: skipped {skipped} zero-mass vertex(es)")
-        ce = _check_unstratified(flat, ptilde_w, kept)
+        ce = first_failure(notion_residuals(*modes, u, v, ptilde), verts)
+        return Verdict(holds=ce is None, counterexample=ce)
+    values = sorted({wv for p in verts for wv in support(p, w)}, key=value_sort_key)
+    for wv, stratum, kept in stratify(w, values, verts, notes):
+        ce = first_failure(notion_residuals(*modes, u, v, ptilde, stratum), kept, stratum, wv)
         if ce is not None:
-            original = originals[kept.index(ce.vertex)] if ce.vertex in kept else ce.vertex
-            ce = Counterexample(
-                vertex=original, v=ce.v, w=wv, u=ce.u, lhs=ce.lhs, rhs=ce.rhs
-            )
             return Verdict(holds=False, counterexample=ce, notes=tuple(notes))
     return Verdict(holds=True, notes=tuple(notes))
-
-
-def _fmt(value) -> str:
-    from .core import format_value
-
-    return format_value(value)
 
 
 #: Solid implication arrows of the hierarchy, antecedent -> consequent.

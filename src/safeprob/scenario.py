@@ -94,10 +94,14 @@ def _pmf_map(space: OutcomeSpace, raw: dict, context: str) -> Pmf:
 def parse_scenario(path) -> ScenarioFile:
     """Parse and validate a scenario file.
 
-    Raises ParseError (with line/column) for malformed JSON and
-    ValidationError naming the violated invariant otherwise.
+    Raises ParseError for text that is not UTF-8 or malformed JSON (with
+    line/column) and ValidationError naming the violated invariant
+    otherwise.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     try:
         doc = json.loads(text)

@@ -134,7 +134,7 @@ def compatibility_gate(
     immediately without consulting the credal set; otherwise the rule is
     completed to a joint and the average-conditioner safety check runs.
     """
-    if not determines_same(u, rule.target):
+    if u.space != rule.target.space or u.table != rule.target.table:
         raise ValidationError("target must coincide with the rule's target")
     witness = check_compatibility(rule, space)
     if witness is None:
@@ -151,12 +151,6 @@ def compatibility_gate(
         holds=verdict.holds,
         counterexample=verdict.counterexample,
         notes=verdict.notes + ("rule completed to a joint with uniform conditioner mass",),
-    )
-
-
-def determines_same(a: Rv, b: Rv) -> bool:
-    return a.space.atoms == b.space.atoms and all(
-        a.table[z] == b.table[z] for z in a.space.atoms
     )
 
 

@@ -1,14 +1,57 @@
-"""Independent oracles used by the acceptance suite.
+"""Independent oracles used by the acceptance and differential suites.
 
 These deliberately avoid the code paths they check: hull membership is
 decided geometrically (orientation sign tests) instead of by linear
-feasibility, and the coarsening quantifier is enumerated over partitions
-with the per-partition question settled in aggregated coordinates.
+feasibility, the coarsening quantifier is enumerated over partitions
+with the per-partition question settled in aggregated coordinates, and
+the exact notions are decided by the per-mode vertex loops that predate
+their residual form (the second half of this module).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from typing import Optional, Sequence
+
+from safeprob.calibration import predicted_distribution_rv
+from safeprob.core import (
+    CredalSet,
+    Pmf,
+    Rv,
+    condition,
+    conditional_table,
+    determines,
+    essentially_unique,
+    expectation,
+    format_value,
+    joint_rv,
+    support,
+    value_pmf,
+    value_sort_key,
+)
+from safeprob.decisions import CUSTOM, LOG, LOG_TOLERANCE, LossFunction, bayes_act, loss_value
+from safeprob.errors import (
+    InfiniteLoss,
+    NonNumericTarget,
+    NotAPivot,
+    NotEssentiallyUnique,
+    NotFullSupport,
+    ValidationError,
+)
+from safeprob.pivots import PivotSpec, PivotVerdict
+from safeprob.safety import (
+    LEFT_AVERAGE,
+    LEFT_FULL,
+    RIGHT_ANGLE,
+    RIGHT_DBLSQUARE,
+    RIGHT_PLAIN,
+    RIGHT_SQUARE,
+    Counterexample,
+    SafetyQuery,
+    Verdict,
+    hull_membership,
+)
 
 
 def set_partitions(items: list) -> list[list[list]]:
@@ -98,3 +141,497 @@ def coarsening_quantifier_oracle(point: dict, generators: list[dict], values: li
         if not _blockwise_safe(agg_point, agg_gens):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Reference checkers for the exact notions.
+#
+# The per-mode vertex loops that decided the exact notions before they were
+# compiled to residuals, kept verbatim as the differential oracle for
+# ``safety.first_failure``: ``tests/test_residuals.py`` compares whole
+# verdicts (and raised exception types) between these and the library.
+
+_fmt = format_value
+decode_row = dict
+
+
+def _conditional_rows(ptilde: Pmf, u: Rv, v: Rv) -> tuple[list, dict]:
+    """Supported conditioning values (canonical order) and their rows."""
+    supported = sorted(support(ptilde, v), key=value_sort_key)
+    rows = {val: value_pmf(condition(ptilde, v, val), u) for val in supported}
+    return supported, rows
+
+
+def _conditional_means(ptilde: Pmf, u: Rv, v: Rv) -> tuple[list, dict]:
+    supported = sorted(support(ptilde, v), key=value_sort_key)
+    means = {val: expectation(condition(ptilde, v, val), u) for val in supported}
+    return supported, means
+
+
+def _scan_vertices(verts, per_vertex):
+    """Run ``per_vertex`` over vertices in order; first counterexample wins."""
+    for p in verts:
+        ce = per_vertex(p)
+        if ce is not None:
+            return ce
+    return None
+
+
+def _check_unstratified(
+    query: SafetyQuery, ptilde: Pmf, verts: Sequence[Pmf]
+) -> Optional[Counterexample]:
+    u, v = query.target, query.conditioner
+    left, right = query.left_mode, query.right_mode
+
+    if left == LEFT_AVERAGE:
+        supported, means = _conditional_means(ptilde, u, v)
+        arity = len(next(iter(means.values()))) if means else 0
+
+        if right == RIGHT_DBLSQUARE:
+            bounds = [
+                (min(means[val][j] for val in supported),
+                 max(means[val][j] for val in supported))
+                for j in range(arity)
+            ]
+
+            def per_vertex(p):
+                e = expectation(p, u)
+                for j, (lo, hi) in enumerate(bounds):
+                    if not (lo <= e[j] <= hi):
+                        bound = lo if e[j] < lo else hi
+                        return Counterexample(vertex=p, u=None, lhs=e[j], rhs=bound)
+                return None
+
+        elif right == RIGHT_ANGLE:
+            def per_vertex(p):
+                e = expectation(p, u)
+                claim = [Fraction(0)] * arity
+                for val in sorted(support(p, v), key=value_sort_key):
+                    pv = p.prob(v, val)
+                    for j in range(arity):
+                        claim[j] += pv * means[val][j]
+                for j in range(arity):
+                    if e[j] != claim[j]:
+                        return Counterexample(vertex=p, lhs=e[j], rhs=claim[j])
+                return None
+
+        elif right == RIGHT_SQUARE:
+            def per_vertex(p):
+                e = expectation(p, u)
+                for val in supported:
+                    for j in range(arity):
+                        if e[j] != means[val][j]:
+                            return Counterexample(vertex=p, v=val, lhs=e[j], rhs=means[val][j])
+                return None
+
+        else:  # RIGHT_PLAIN, denominators cleared
+            def per_vertex(p):
+                for val in v.range():
+                    pv = p.prob(v, val)
+                    if pv == 0:
+                        continue
+                    mass_weighted = [Fraction(0)] * arity
+                    for z in p.space.atoms:
+                        if v.table[z] == val and p.weights[z]:
+                            for j, c in enumerate(u.table[z]):
+                                mass_weighted[j] += p.weights[z] * c
+                    for j in range(arity):
+                        if mass_weighted[j] != means[val][j] * pv:
+                            return Counterexample(
+                                vertex=p, v=val,
+                                lhs=mass_weighted[j] / pv, rhs=means[val][j],
+                            )
+                return None
+
+        return _scan_vertices(verts, per_vertex)
+
+    # left == LEFT_FULL: pointwise distribution checks over range(u)
+    supported, rows = _conditional_rows(ptilde, u, v)
+    u_range = u.range()
+
+    if right == RIGHT_PLAIN:
+        def per_vertex(p):
+            for val in v.range():
+                pv = p.prob(v, val)
+                if pv == 0:
+                    continue
+                for uv in u_range:
+                    joint = sum(
+                        (p.weights[z] for z in p.space.atoms
+                         if v.table[z] == val and u.table[z] == uv),
+                        start=Fraction(0),
+                    )
+                    if joint != rows[val][uv] * pv:
+                        return Counterexample(
+                            vertex=p, v=val, u=uv, lhs=joint, rhs=rows[val][uv] * pv
+                        )
+            return None
+
+    elif right == RIGHT_ANGLE:
+        def per_vertex(p):
+            actual = value_pmf(p, u)
+            claim = {uv: Fraction(0) for uv in u_range}
+            for val in sorted(support(p, v), key=value_sort_key):
+                pv = p.prob(v, val)
+                for uv in u_range:
+                    claim[uv] += rows[val][uv] * pv
+            for uv in u_range:
+                if actual[uv] != claim[uv]:
+                    return Counterexample(vertex=p, u=uv, lhs=actual[uv], rhs=claim[uv])
+            return None
+
+    elif right == RIGHT_SQUARE:
+        def per_vertex(p):
+            actual = value_pmf(p, u)
+            for val in supported:
+                for uv in u_range:
+                    if actual[uv] != rows[val][uv]:
+                        return Counterexample(
+                            vertex=p, v=val, u=uv, lhs=actual[uv], rhs=rows[val][uv]
+                        )
+            return None
+
+    else:  # RIGHT_DBLSQUARE: convex-hull membership of the target's law
+        generators = [rows[val] for val in supported]
+
+        def per_vertex(p):
+            actual = value_pmf(p, u)
+            if not hull_membership(actual, generators):
+                return Counterexample(vertex=p)
+            return None
+
+    return _scan_vertices(verts, per_vertex)
+
+
+def check_safety(query: SafetyQuery, ptilde: Pmf, credal: CredalSet) -> Verdict:
+    """Decide the queried safety notion against every credal vertex.
+
+    Raises NotEssentiallyUnique when some vertex supports a conditioning
+    (or stratum) value the pragmatic distribution does not, and
+    NonNumericTarget for average-mode queries on non-numeric targets.
+    """
+    u, v, w = query.target, query.conditioner, query.stratifier
+    if query.left_mode == LEFT_AVERAGE and not u.is_numeric:
+        raise NonNumericTarget(f"average-mode query needs a numeric target, got {u.name!r}")
+    verts = credal.vertex_list()
+    guard_rv = joint_rv(v, w) if w is not None else v
+    if not essentially_unique(ptilde, guard_rv, credal):
+        raise NotEssentiallyUnique(
+            f"pragmatic conditionals on {guard_rv.name} are not essentially unique"
+        )
+
+    notes: list[str] = []
+    if w is None:
+        ce = _check_unstratified(query, ptilde, verts)
+        return Verdict(holds=ce is None, counterexample=ce, notes=tuple(notes))
+
+    flat = SafetyQuery(u, query.left_mode, v, query.right_mode)
+    strata = sorted({wv for p in verts for wv in support(p, w)}, key=value_sort_key)
+    for wv in strata:
+        ptilde_w = condition(ptilde, w, wv)
+        kept, originals = [], []
+        for p in verts:
+            if p.prob(w, wv) > 0:
+                kept.append(condition(p, w, wv))
+                originals.append(p)
+        skipped = len(verts) - len(kept)
+        if skipped:
+            notes.append(f"stratum {w.name}={_fmt(wv)}: skipped {skipped} zero-mass vertex(es)")
+        ce = _check_unstratified(flat, ptilde_w, kept)
+        if ce is not None:
+            original = originals[kept.index(ce.vertex)] if ce.vertex in kept else ce.vertex
+            ce = Counterexample(
+                vertex=original, v=ce.v, w=wv, u=ce.u, lhs=ce.lhs, rhs=ce.rhs
+            )
+            return Verdict(holds=False, counterexample=ce, notes=tuple(notes))
+    return Verdict(holds=True, notes=tuple(notes))
+
+
+
+def _guard(ptilde: Pmf, v: Rv, credal: CredalSet) -> tuple:
+    verts = credal.vertex_list()
+    if not essentially_unique(ptilde, v, credal):
+        raise NotEssentiallyUnique(
+            f"pragmatic conditionals on {v.name} are not essentially unique"
+        )
+    return verts
+
+
+def check_calibrated_full(u: Rv, v: Rv, ptilde: Pmf, credal: CredalSet) -> Verdict:
+    """Full-distribution calibration: for every credal vertex and every
+    forecast row issued at some vertex-supported conditioning value, the
+    vertex's conditional on that forecast equals the forecast. Checked in
+    the denominator-cleared exact form; zero-mass forecasts are vacuous."""
+    verts = _guard(ptilde, v, credal)
+    pred = predicted_distribution_rv(ptilde, u, v).as_rv
+    rows = sorted(
+        {pred.table[z] for p in verts for z in p.space.atoms if p.weights[z] > 0},
+        key=value_sort_key,
+    )
+    u_range = u.range()
+    for p in verts:
+        for row in rows:
+            mass = p.prob(pred, row)
+            forecast = decode_row(row)
+            for uv in u_range:
+                joint = sum(
+                    (p.weights[z] for z in p.space.atoms
+                     if u.table[z] == uv and pred.table[z] == row),
+                    start=Fraction(0),
+                )
+                if joint != forecast[uv] * mass:
+                    return Verdict(
+                        holds=False,
+                        counterexample=Counterexample(
+                            vertex=p, v=row, u=uv, lhs=joint, rhs=forecast[uv] * mass
+                        ),
+                    )
+    return Verdict(holds=True)
+
+
+def check_calibrated_mean(u: Rv, v: Rv, ptilde: Pmf, credal: CredalSet) -> Verdict:
+    """Mean calibration: conditioned on the pragmatic conditional mean
+    taking a value, the actual conditional mean equals that value."""
+    if not u.is_numeric:
+        raise NonNumericTarget(f"mean calibration needs a numeric target, got {u.name!r}")
+    verts = _guard(ptilde, v, credal)
+
+    mean_at = {}
+    for val in sorted(support(ptilde, v), key=value_sort_key):
+        mean_at[val] = expectation(condition(ptilde, v, val), u)
+    fallback = tuple(
+        sum((uv[j] for uv in u.range()), start=Fraction(0)) / len(u.range())
+        for j in range(len(u.range()[0]))
+    )
+    mean_rv = Rv.generalized(
+        ptilde.space,
+        f"mean({u.name}|{v.name})",
+        {z: mean_at.get(v.table[z], fallback) for z in ptilde.space.atoms},
+    )
+    mus = sorted(
+        {mean_rv.table[z] for p in verts for z in p.space.atoms if p.weights[z] > 0},
+        key=value_sort_key,
+    )
+    arity = len(mus[0])
+    for p in verts:
+        for mu in mus:
+            mass = p.prob(mean_rv, mu)
+            for j in range(arity):
+                weighted = sum(
+                    (p.weights[z] * u.table[z][j] for z in p.space.atoms
+                     if mean_rv.table[z] == mu),
+                    start=Fraction(0),
+                )
+                if weighted != mu[j] * mass:
+                    return Verdict(
+                        holds=False,
+                        counterexample=Counterexample(
+                            vertex=p, v=mu, lhs=weighted, rhs=mu[j] * mass
+                        ),
+                    )
+    return Verdict(holds=True)
+
+
+def _losses_equal(kind: str, a, b) -> bool:
+    if kind == LOG:
+        if math.isinf(a) or math.isinf(b):
+            return a == b
+        return abs(a - b) <= LOG_TOLERANCE
+    return a == b
+
+
+def check_decision_safety(
+    ptilde: Pmf, u: Rv, v: Rv, loss: LossFunction, credal: CredalSet
+) -> Verdict:
+    """Does the pragmatic Bayes policy earn exactly its believed loss?
+
+    For every credal vertex P and every supported conditioning value v0,
+    the expected loss of the policy under P must equal the pragmatic
+    conditional expected loss at v0. Exact rational comparison except for
+    the log score, compared to within 1e-12.
+    """
+    verts = credal.vertex_list()
+    if not essentially_unique(ptilde, v, credal):
+        raise NotEssentiallyUnique(
+            f"pragmatic conditionals on {v.name} are not essentially unique"
+        )
+    notes: list[str] = []
+    if loss.kind == CUSTOM:
+        missing = set(u.range()) - set(loss.outcomes())
+        if missing:
+            raise ValidationError(
+                f"custom loss table lacks outcomes {sorted(missing, key=value_sort_key)}"
+            )
+    table = conditional_table(ptilde, u, v)
+    if table.arbitrary_rows:
+        notes.append(
+            "policy at unsupported conditioning values uses the uniform fill row"
+        )
+    policy = {}
+    for vv in v.range():
+        act = bayes_act(loss, table.rows[vv])
+        if act.tied:
+            notes.append(f"Bayes-act tie at conditioning value {vv!r} broken canonically")
+        policy[vv] = act
+
+    supported = sorted(support(ptilde, v), key=value_sort_key)
+    believed = {}
+    for vv in supported:
+        total = Fraction(0) if loss.kind != LOG else 0.0
+        for uu, p in table.rows[vv].items():
+            if p == 0:
+                continue
+            term = loss_value(loss, uu, policy[vv])
+            if term == math.inf:
+                raise InfiniteLoss(
+                    f"believed loss infinite at conditioning value {vv!r}, outcome {uu!r}"
+                )
+            total = total + p * term if loss.kind != LOG else total + float(p) * term
+        believed[vv] = total
+
+    for p in verts:
+        actual = Fraction(0) if loss.kind != LOG else 0.0
+        for z in p.space.atoms:
+            w = p.weights[z]
+            if w == 0:
+                continue
+            term = loss_value(loss, u.table[z], policy[v.table[z]])
+            if term == math.inf:
+                raise InfiniteLoss(
+                    f"realized loss infinite at atom {z!r} under a credal vertex"
+                )
+            actual = actual + w * term if loss.kind != LOG else actual + float(w) * term
+        for vv in supported:
+            if not _losses_equal(loss.kind, actual, believed[vv]):
+                return Verdict(
+                    holds=False,
+                    counterexample=Counterexample(
+                        vertex=p, v=vv, lhs=actual, rhs=believed[vv]
+                    ),
+                    notes=tuple(notes),
+                )
+    return Verdict(holds=True, notes=tuple(notes))
+
+
+def _induced_pmf(p: Pmf, u: Rv, v: Rv, spec: PivotSpec, atoms: Sequence[str]) -> dict:
+    out: dict = {}
+    for z in atoms:
+        w = p.weights[z]
+        if w:
+            val = spec.mapping[(u.table[z], v.table[z])]
+            out[val] = out.get(val, Fraction(0)) + w
+    return out
+
+
+def _check_pivot_on(
+    spec: PivotSpec, u: Rv, v: Rv, verts: Sequence[Pmf], atoms: Sequence[str]
+) -> PivotVerdict:
+    cells = {(u.table[z], v.table[z]) for z in atoms}
+    for cell in cells:
+        if cell not in spec.mapping:
+            return PivotVerdict(False, False, f"map undefined at cell {cell!r}")
+
+    v_values = sorted({v.table[z] for z in atoms}, key=value_sort_key)
+    images = {}
+    for vv in v_values:
+        seen: dict = {}
+        for z in atoms:
+            if v.table[z] != vv:
+                continue
+            uu = u.table[z]
+            pv = spec.mapping[(uu, vv)]
+            if seen.setdefault(pv, uu) != uu:
+                return PivotVerdict(
+                    False, False,
+                    f"not injective at conditioning value {vv!r}: targets "
+                    f"{seen[pv]!r} and {uu!r} both map to {pv!r}",
+                )
+        images[vv] = set(seen)
+
+    laws = [_induced_pmf(p, u, v, spec, atoms) for p in verts]
+    for law in laws[1:]:
+        if law != laws[0]:
+            return PivotVerdict(
+                False, False, "credal members disagree on the pivot distribution"
+            )
+
+    overall = {spec.mapping[cell] for cell in cells}
+    simple = all(images[vv] == overall for vv in v_values)
+    failure = None if simple else "some conditioning value does not reach every pivot value"
+    return PivotVerdict(True, simple, failure)
+
+
+def check_pivotal_safety(
+    ptilde: Pmf,
+    u: Rv,
+    v: Rv,
+    spec: PivotSpec,
+    credal: CredalSet,
+    w: Optional[Rv] = None,
+) -> Verdict:
+    """Pivotal safety of the pragmatic distribution with the given pivot.
+
+    Requires the conditioner to have full pragmatic support and the
+    supplied map to pass the pivot check (per stratum of ``w`` when
+    given; ``w`` must be determined by the conditioner). Holds when the
+    pivot is independent of the conditioner under the pragmatic
+    distribution and its pragmatic law equals the common credal law.
+    """
+    if support(ptilde, v) != set(v.range()):
+        raise NotFullSupport(
+            f"{v.name} lacks full support under the pragmatic distribution"
+        )
+    if w is not None and determines(v, w) is None:
+        raise ValidationError(f"stratifier {w.name!r} must be a coarsening of {v.name!r}")
+
+    verts = credal.vertex_list()
+    notes: list[str] = []
+
+    def run_stratum(pt: Pmf, vs: Sequence[Pmf], atoms: Sequence[str], wv) -> Optional[Counterexample]:
+        pv = _check_pivot_on(spec, u, v, vs, atoms)
+        if not pv.is_pivot:
+            raise NotAPivot(pv.failure or "pivot requirements not met")
+        overall = _induced_pmf(pt, u, v, spec, atoms)
+        for vv in sorted({v.table[z] for z in atoms}, key=value_sort_key):
+            pt_v = condition(pt, v, vv)
+            row = _induced_pmf(pt_v, u, v, spec, atoms)
+            if row != overall:
+                val = next(
+                    k for k in sorted(set(row) | set(overall), key=value_sort_key)
+                    if row.get(k, 0) != overall.get(k, 0)
+                )
+                notes.append("pragmatic pivot law varies with the conditioner")
+                return Counterexample(
+                    vertex=pt, v=vv, w=wv, u=val,
+                    lhs=row.get(val, Fraction(0)), rhs=overall.get(val, Fraction(0)),
+                )
+        if vs:
+            common = _induced_pmf(vs[0], u, v, spec, atoms)
+            if common != overall:
+                val = next(
+                    k for k in sorted(set(common) | set(overall), key=value_sort_key)
+                    if common.get(k, 0) != overall.get(k, 0)
+                )
+                notes.append("pragmatic pivot law differs from the common credal law")
+                return Counterexample(
+                    vertex=vs[0], w=wv, u=val,
+                    lhs=common.get(val, Fraction(0)), rhs=overall.get(val, Fraction(0)),
+                )
+        return None
+
+    if w is None:
+        ce = run_stratum(ptilde, verts, ptilde.space.atoms, None)
+        return Verdict(holds=ce is None, counterexample=ce, notes=tuple(notes))
+
+    for wv in sorted(set(w.range()), key=value_sort_key):
+        atoms_w = [z for z in ptilde.space.atoms if w.table[z] == wv]
+        pt_w = condition(ptilde, w, wv)
+        kept = [condition(p, w, wv) for p in verts if p.prob(w, wv) > 0]
+        skipped = len(verts) - len(kept)
+        if skipped:
+            notes.append(f"stratum {w.name}={wv!r}: skipped {skipped} zero-mass vertex(es)")
+        ce = run_stratum(pt_w, kept, atoms_w, wv)
+        if ce is not None:
+            return Verdict(holds=False, counterexample=ce, notes=tuple(notes))
+    return Verdict(holds=True, notes=tuple(notes))
+

@@ -140,6 +140,10 @@ class TestEnumerateVertices:
             enumerate_vertices([], space)
         monkeypatch.setenv("SAFEPROB_SIZE_LIMIT", "20")
         assert len(enumerate_vertices([], space)) == 17
+        for bad in ("0", "-3", "many"):
+            monkeypatch.setenv("SAFEPROB_SIZE_LIMIT", bad)
+            with pytest.raises(ValidationError, match="SAFEPROB_SIZE_LIMIT"):
+                enumerate_vertices([], space)
 
     def test_random_polytopes_properties(self):
         rng = random.Random(4)

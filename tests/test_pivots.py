@@ -143,6 +143,19 @@ class TestPivotalSafety:
                             spec=spec, credal=inst["credal"], w=const)
             assert plain == strat
 
+    def test_stratum_notes_print_values_as_reports_do(self):
+        space, u, v = product_space(2, 2)
+        w = Rv(space, "W", {z: v.table[z] for z in space.atoms})
+        rows = {ZERO: {ZERO: Fraction(1, 3), ONE: Fraction(2, 3)},
+                ONE: {ZERO: Fraction(2, 3), ONE: Fraction(1, 3)}}
+        ptilde = joint_from_rows(space, u, v, {ZERO: Fraction(1, 2), ONE: Fraction(1, 2)}, rows)
+        vertex = joint_from_rows(space, u, v, {ZERO: Fraction(0), ONE: Fraction(1)}, rows)
+        verdict = check_pivotal_safety(
+            ptilde, u, v, canonical_pivot(ptilde, u, v), CredalSet.from_vertices([vertex]), w=w
+        )
+        assert verdict.holds
+        assert verdict.notes == ("stratum W=0: skipped 1 zero-mass vertex(es)",)
+
 
 class TestCanonicalPivot:
     def test_fair_monty_values(self):

@@ -1,0 +1,228 @@
+"""Differential suite: the residual evaluator against the per-mode vertex
+loops it replaced (kept in ``oracles``).
+
+Every exact notion is decided on random vertex-form instances by both
+implementations; the whole verdict (``holds``, every counterexample
+field with its type, ``notes``) or the raised exception must agree.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from safeprob.calibration import check_calibrated_full, check_calibrated_mean
+from safeprob.core import CredalSet, OutcomeSpace, Pmf, Rv, format_value, support
+from safeprob.decisions import BRIER, CUSTOM, LOG, ZERO_ONE, LossFunction, check_decision_safety
+from safeprob.errors import SafeprobError, UniquenessViolated
+from safeprob.pivots import PivotSpec, canonical_pivot, check_pivotal_safety
+from safeprob.safety import (
+    LEFT_AVERAGE,
+    LEFT_FULL,
+    RIGHT_ANGLE,
+    RIGHT_DBLSQUARE,
+    RIGHT_PLAIN,
+    RIGHT_SQUARE,
+    SafetyQuery,
+    check_safety,
+)
+
+MODES = [(left, right) for left in (LEFT_FULL, LEFT_AVERAGE)
+         for right in (RIGHT_PLAIN, RIGHT_ANGLE, RIGHT_SQUARE, RIGHT_DBLSQUARE)]
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+def _value(x):
+    return (type(x).__name__, x)
+
+
+def outcome(check, *args):
+    """Comparable account of a check: its verdict field by field, or the
+    type and message of the error it raised."""
+    try:
+        verdict = check(*args)
+    except SafeprobError as exc:
+        return ("raises", type(exc).__name__, str(exc))
+    ce = verdict.counterexample
+    detail = None if ce is None else (
+        None if ce.vertex is None else ce.vertex.as_tuple(),
+        ce.v, ce.w, ce.u, _value(ce.lhs), _value(ce.rhs),
+    )
+    return (verdict.holds, detail, verdict.notes)
+
+
+def _weights(draw, n, positive=False):
+    low = 1 if positive else 0
+    return draw(st.lists(st.integers(low, 3), min_size=n, max_size=n).filter(any))
+
+
+def _labels(n):
+    """Labels of n atoms taking at least two of the values 0, 1, 2."""
+    return st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(lambda ls: len(set(ls)) > 1)
+
+
+@st.composite
+def instances(draw, full_support=False, coarse_w=False):
+    """Small vertex-form instance: target U (integer, vector or symbol
+    valued), conditioner V, stratifier W (a function of V when
+    ``coarse_w``), a pragmatic distribution and one to four vertices.
+
+    Vertices are random, or keep the pragmatic conditionals given V, or
+    keep the pragmatic law of U, so that every notion both holds and
+    fails on some draws."""
+    n = draw(st.integers(3, 7))
+    atoms = [f"z{i}" for i in range(n)]
+    space = OutcomeSpace(atoms)
+    labels = draw(_labels(n))
+    kind = draw(st.sampled_from(["int", "vector", "symbol"]))
+    if kind == "int":
+        utable = dict(zip(atoms, labels))
+    elif kind == "vector":
+        utable = {z: (k, (k * k) % 3) for z, k in zip(atoms, labels)}
+    else:
+        utable = {z: "abc"[k] for z, k in zip(atoms, labels)}
+    u = Rv(space, "U", utable)
+    vlabels = draw(_labels(n))
+    v = Rv(space, "V", dict(zip(atoms, vlabels)))
+    if coarse_w:
+        fold = draw(st.lists(st.integers(0, 1), min_size=3, max_size=3))
+        w = Rv(space, "W", {z: fold[k] for z, k in zip(atoms, vlabels)})
+    else:
+        w = Rv(space, "W", dict(zip(atoms, draw(
+            st.lists(st.integers(0, 1), min_size=n, max_size=n)))))
+    ptilde = Pmf.normalized(space, dict(zip(atoms, _weights(draw, n, full_support))))
+    pt = ptilde.weights
+
+    vertices = []
+    for _ in range(draw(st.integers(1, 4))):
+        style = draw(st.sampled_from(["random", "conditionals", "target-law", "pragmatic"]))
+        raw = _weights(draw, n)
+        if style == "conditionals":  # P(. | V) as under the pragmatic distribution
+            scale = dict(zip(range(3), raw + raw[:3]))
+            mass = {vv: ptilde.prob(v, vv) for vv in support(ptilde, v)}
+            weights = {z: scale[v.table[z][0]] * pt[z] / mass[v.table[z]]
+                       if v.table[z] in mass else 0 for z in atoms}
+        elif style == "target-law":  # the pragmatic law of U, split anyhow
+            weights = {}
+            for z, r in zip(atoms, raw):
+                level = [y for y in atoms if u.table[y] == u.table[z]]
+                share = sum(raw[atoms.index(y)] for y in level)
+                weights[z] = (ptilde.prob(u, u.table[z]) * Fraction(r, share) if share
+                              else ptilde.prob(u, u.table[z]) / len(level))
+        elif style == "pragmatic":
+            weights = dict(pt)
+        else:
+            weights = dict(zip(atoms, raw))
+        if sum(weights.values()) == 0:
+            continue
+        p = Pmf.normalized(space, weights)
+        if p not in vertices:
+            vertices.append(p)
+    if not vertices:
+        vertices.append(ptilde)
+    return u, v, w, ptilde, CredalSet.from_vertices(vertices)
+
+
+@given(instances())
+@SETTINGS
+def test_safety_modes_unstratified(inst):
+    u, v, _, ptilde, credal = inst
+    for left, right in MODES:
+        query = SafetyQuery(u, left, v, right)
+        assert outcome(check_safety, query, ptilde, credal) == \
+            outcome(oracles.check_safety, query, ptilde, credal), (left, right)
+
+
+@given(instances())
+@SETTINGS
+def test_safety_modes_stratified(inst):
+    u, v, w, ptilde, credal = inst
+    for left, right in MODES:
+        query = SafetyQuery(u, left, v, right, stratifier=w)
+        assert outcome(check_safety, query, ptilde, credal) == \
+            outcome(oracles.check_safety, query, ptilde, credal), (left, right)
+
+
+@given(instances())
+@SETTINGS
+def test_calibration(inst):
+    u, v, _, ptilde, credal = inst
+    for mine, reference in ((check_calibrated_full, oracles.check_calibrated_full),
+                            (check_calibrated_mean, oracles.check_calibrated_mean)):
+        assert outcome(mine, u, v, ptilde, credal) == \
+            outcome(reference, u, v, ptilde, credal), mine.__name__
+
+
+def _custom_loss(u: Rv, miss, abstain) -> LossFunction:
+    outcomes = u.range()
+    table = {}
+    for i, outcome_value in enumerate(outcomes):
+        for k in range(len(outcomes)):
+            table[(outcome_value, f"act{k}")] = 0 if i == k else miss
+        table[(outcome_value, "abstain")] = abstain
+    return LossFunction(CUSTOM, custom_table=table)
+
+
+@given(instances(), st.sampled_from([1, 2, math.inf]), st.sampled_from(["1/2", "1", "3"]))
+@SETTINGS
+def test_decisions(inst, miss, abstain):
+    u, v, _, ptilde, credal = inst
+    losses = [LossFunction(ZERO_ONE), LossFunction(ZERO_ONE, randomized=True),
+              LossFunction(BRIER), LossFunction(LOG), _custom_loss(u, miss, abstain)]
+    for loss in losses:
+        assert outcome(check_decision_safety, ptilde, u, v, loss, credal) == \
+            outcome(oracles.check_decision_safety, ptilde, u, v, loss, credal), loss.kind
+
+
+def _pivot_specs(draw, ptilde, u, v):
+    try:
+        yield canonical_pivot(ptilde, u, v)
+    except UniquenessViolated:
+        pass
+    cells = sorted({(u.table[z], v.table[z]) for z in u.space.atoms}, key=repr)
+    values = draw(st.lists(st.integers(0, 2), min_size=len(cells), max_size=len(cells)))
+    yield PivotSpec("drawn", {cell: (Fraction(k),) for cell, k in zip(cells, values)})
+
+
+def _law_twin(p: Pmf, spec: PivotSpec, u: Rv, v: Rv, w: Rv):
+    """A second vertex with p's pivot law in every stratum of w: the
+    weights of two atoms sharing pivot and stratum value are swapped."""
+    atoms = p.space.atoms
+    key = {z: (spec.mapping[(u.table[z], v.table[z])], w.table[z]) for z in atoms}
+    for i, y in enumerate(atoms):
+        for z in atoms[i + 1:]:
+            if key[y] == key[z] and p.weights[y] != p.weights[z]:
+                return Pmf(p.space, dict(p.weights, **{y: p.weights[z], z: p.weights[y]}))
+    return None
+
+
+def _pivot_outcomes(ptilde, u, v, spec, credal, w):
+    mine = outcome(check_pivotal_safety, ptilde, u, v, spec, credal, w)
+    reference = outcome(oracles.check_pivotal_safety, ptilde, u, v, spec, credal, w)
+    if w is not None and reference[0] != "raises":  # stratum notes print values as reports do
+        notes = reference[2]
+        for wv in w.range():
+            notes = tuple(n.replace(f"={wv!r}:", f"={format_value(wv)}:") for n in notes)
+        reference = reference[:2] + (notes,)
+    return mine, reference
+
+
+@given(instances(full_support=True, coarse_w=True), st.data())
+@SETTINGS
+def test_pivots(inst, data):
+    u, v, w, ptilde, credal = inst
+    for spec in _pivot_specs(data.draw, ptilde, u, v):
+        credals = [credal]
+        first = credal.vertices[0]
+        twin = _law_twin(first, spec, u, v, w) if set(spec.mapping) >= {
+            (u.table[z], v.table[z]) for z in u.space.atoms} else None
+        if twin is not None:  # members agreeing on a law the pragmatic one may miss
+            credals.append(CredalSet.from_vertices([first, twin]))
+        for members in credals:
+            for stratifier in (None, w):
+                mine, reference = _pivot_outcomes(ptilde, u, v, spec, members, stratifier)
+                assert mine == reference, (spec.name, stratifier)

@@ -197,6 +197,16 @@ class TestCli:
         assert main(["check", "no-such-file.scn",
                      "--u", "U", "--v", "V", "--notion", "valid"]) == 2
 
+    def test_non_utf8_file_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "binary.scn"
+        path.write_bytes(b"\xff\xfe{bad")
+        assert main(["check", str(path), "--u", "U", "--v", "V", "--notion", "valid"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_directory_exit_two(self, tmp_path, capsys):
+        assert main(["check", str(tmp_path), "--u", "U", "--v", "V", "--notion", "valid"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_usage_error_exit_two(self, capsys):
         assert main(["check"]) == 2
 
