@@ -18,7 +18,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Union
 
-from ._linalg import UNIQUE, matrix_rank, solve_linear
+from ._linalg import UNIQUE, integer_row, matrix_rank, solve_linear
 from .errors import (
     InfeasibleCredalSet,
     NonNumericTarget,
@@ -392,42 +392,51 @@ def enumerate_vertices(
         raise SizeLimit(f"{n} atoms exceeds the cap of {cap} (set {_SIZE_LIMIT_ENV})")
     index = {z: i for i, z in enumerate(space.atoms)}
 
-    def row_of(c: LinearConstraint) -> list[Fraction]:
-        row = [Fraction(0)] * n
+    def row_of(c: LinearConstraint) -> list[int]:
+        """``[coefficients..., rhs]`` scaled to integers by a positive factor."""
+        row = [0] * n + [c.rhs]
         for z, coef in c.coeffs.items():
             if z not in index:
                 raise ValidationError(f"constraint mentions unknown atom {z!r}")
             row[index[z]] = coef
-        return row
+        return integer_row(row)
 
-    eq_rows = [[Fraction(1)] * n]
-    eq_rhs = [Fraction(1)]
-    tight_candidates: list[tuple[list[Fraction], Fraction]] = []
+    eq_rows = [[1] * (n + 1)]  # total mass one
+    inequalities: list[tuple[list[int], str]] = []
     for c in constraints:
         if c.relation == "=":
             eq_rows.append(row_of(c))
-            eq_rhs.append(c.rhs)
         else:
-            tight_candidates.append((row_of(c), c.rhs))
-    for i in range(n):
-        facet = [Fraction(0)] * n
-        facet[i] = Fraction(1)
-        tight_candidates.append((facet, Fraction(0)))
+            inequalities.append((row_of(c), c.relation))
+    m = len(inequalities)
 
-    r = matrix_rank(eq_rows)
+    def holds(row: list[int], relation: str, x: tuple) -> bool:
+        lhs = sum(a * v for a, v in zip(row, x) if a)
+        return lhs <= row[n] if relation == "<=" else lhs >= row[n]
+
+    r = matrix_rank([row[:n] for row in eq_rows])
     k = n - r
-    found: set[tuple[Fraction, ...]] = set()
-    for chosen in itertools.combinations(range(len(tight_candidates)), k):
-        rows = eq_rows + [tight_candidates[i][0] for i in chosen]
-        rhs = eq_rhs + [tight_candidates[i][1] for i in chosen]
-        status, x = solve_linear(rows, rhs)
-        if status != UNIQUE:
+    seen: set[tuple[Fraction, ...]] = set()
+    found: list[tuple[Fraction, ...]] = []
+    # A basis takes k tight rows among the user inequalities and then the
+    # nonnegativity facets; a chosen facet fixes its coordinate to 0, so
+    # only the remaining columns enter the system.
+    for chosen in itertools.combinations(range(m + n), k):
+        zero = {i - m for i in chosen if i >= m}
+        free = [j for j in range(n) if j not in zero]
+        rows = eq_rows + [inequalities[i][0] for i in chosen if i < m]
+        status, y = solve_linear([[row[j] for j in free] for row in rows], [row[n] for row in rows])
+        if status != UNIQUE or any(v < 0 for v in y):
             continue
-        if any(v < 0 for v in x) or sum(x) != 1:
+        x = [Fraction(0)] * n
+        for j, v in zip(free, y):
+            x[j] = v
+        x = tuple(x)
+        if x in seen:
             continue
-        p = Pmf(space, dict(zip(space.atoms, x)))
-        if all(c.satisfied_by(p) for c in constraints):
-            found.add(x)
+        seen.add(x)
+        if all(holds(row, relation, x) for row, relation in inequalities):
+            found.append(x)
     if not found:
         raise InfeasibleCredalSet("no distribution satisfies the constraints")
     ordered = sorted(found, reverse=True)

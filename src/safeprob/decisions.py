@@ -25,6 +25,7 @@ from .core import (
     Rv,
     as_rational,
     conditional_table,
+    format_value,
     support,
     value_sort_key,
 )
@@ -202,13 +203,16 @@ def check_decision_safety(
         )
     for vv, act in policy.items():
         if act.tied:
-            notes.append(f"Bayes-act tie at conditioning value {vv!r} broken canonically")
+            notes.append(
+                f"Bayes-act tie at conditioning value {format_value(vv)} broken canonically"
+            )
     for vv, total in believed.items():
         if total == math.inf:
             uu = next(uu for uu, p in table.rows[vv].items()
                       if p and loss_value(loss, uu, policy[vv]) == math.inf)
             raise InfiniteLoss(
-                f"believed loss infinite at conditioning value {vv!r}, outcome {uu!r}"
+                f"believed loss infinite at conditioning value {format_value(vv)}, "
+                f"outcome {format_value(uu)}"
             )
 
     atoms = ptilde.space.atoms

@@ -100,7 +100,7 @@ def _check_pivot_on(
     spec: PivotSpec, u: Rv, v: Rv, verts: Sequence[Pmf], stratum: Sequence[int]
 ) -> PivotVerdict:
     atoms = [u.space.atoms[i] for i in stratum]
-    cells = {(u.table[z], v.table[z]) for z in atoms}
+    cells = [(u.table[z], v.table[z]) for z in atoms]
     for cell in cells:
         if cell not in spec.mapping:
             return PivotVerdict(False, False, f"map undefined at cell {cell!r}")

@@ -5,18 +5,24 @@ decided geometrically (orientation sign tests) instead of by linear
 feasibility, the coarsening quantifier is enumerated over partitions
 with the per-partition question settled in aggregated coordinates, and
 the exact notions are decided by the per-mode vertex loops that predate
-their residual form (the second half of this module).
+their residual form, and credal geometry is computed by the ``Fraction``
+elimination kernel and the full-width basis enumerator that predate the
+integer kernel (the last two sections of this module).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from safeprob.calibration import predicted_distribution_rv
 from safeprob.core import (
+    _SIZE_LIMIT_ENV,
     CredalSet,
+    LinearConstraint,
+    OutcomeSpace,
     Pmf,
     Rv,
     condition,
@@ -26,17 +32,20 @@ from safeprob.core import (
     expectation,
     format_value,
     joint_rv,
+    size_limit,
     support,
     value_pmf,
     value_sort_key,
 )
 from safeprob.decisions import CUSTOM, LOG, LOG_TOLERANCE, LossFunction, bayes_act, loss_value
 from safeprob.errors import (
+    InfeasibleCredalSet,
     InfiniteLoss,
     NonNumericTarget,
     NotAPivot,
     NotEssentiallyUnique,
     NotFullSupport,
+    SizeLimit,
     ValidationError,
 )
 from safeprob.pivots import PivotSpec, PivotVerdict
@@ -635,3 +644,130 @@ def check_pivotal_safety(
             return Verdict(holds=False, counterexample=ce, notes=tuple(notes))
     return Verdict(holds=True, notes=tuple(notes))
 
+
+# ---------------------------------------------------------------------------
+# Reference credal geometry.
+#
+# The ``Fraction`` Gauss-Jordan kernel and the basis enumerator that solved
+# every basis over all n columns and tested each candidate as a ``Pmf``,
+# kept verbatim as the differential oracle for ``safeprob._linalg`` and
+# ``core.enumerate_vertices``: ``tests/test_linalg.py`` compares their
+# results, including the order of the vertices.
+
+UNIQUE = "unique"
+INCONSISTENT = "inconsistent"
+UNDERDETERMINED = "underdetermined"
+
+
+def _rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
+    """Reduce ``rows`` in place to reduced row echelon form over their
+    first ``ncols`` columns; returns the pivot columns."""
+    nrows = len(rows)
+    pivot_cols: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [vi - factor * vr for vi, vr in zip(rows[i], rows[r])]
+        pivot_cols.append(c)
+        r += 1
+    return pivot_cols
+
+
+def solve_linear(
+    a: list[list[Fraction]], b: list[Fraction]
+) -> tuple[str, tuple[Fraction, ...] | None]:
+    """Solve ``a @ x = b`` exactly.
+
+    Returns ``(status, x)`` where status is one of UNIQUE, INCONSISTENT or
+    UNDERDETERMINED; ``x`` is the solution tuple only when unique. The
+    system may be rectangular.
+    """
+    ncols = len(a[0]) if a else 0
+    aug = [[Fraction(v) for v in row] + [Fraction(b[i])] for i, row in enumerate(a)]
+    pivot_cols = _rref(aug, ncols)
+    if any(row[ncols] != 0 for row in aug[len(pivot_cols):]):
+        return INCONSISTENT, None
+    if len(pivot_cols) < ncols:
+        return UNDERDETERMINED, None
+    x = [Fraction(0)] * ncols
+    for i, c in enumerate(pivot_cols):
+        x[c] = aug[i][ncols]
+    return UNIQUE, tuple(x)
+
+
+def matrix_rank(a: list[list[Fraction]]) -> int:
+    """Rank of a rational matrix."""
+    return len(_rref([list(map(Fraction, row)) for row in a], len(a[0]) if a else 0))
+
+
+def enumerate_vertices(
+    constraints: list[LinearConstraint], space: OutcomeSpace
+) -> list[Pmf]:
+    """Exact extreme points of the constrained probability simplex.
+
+    Enumerates constraint bases: the simplex equality and every user
+    equality are always tight; the remaining tight rows are chosen among
+    nonnegativity facets and user inequalities. Each rational linear
+    system with a unique solution that satisfies every constraint yields
+    a candidate vertex; candidates are deduplicated and returned in
+    descending lexicographic order of their weight vectors (atom order).
+
+    Raises InfeasibleCredalSet when the polytope is empty and SizeLimit
+    when the space exceeds the configured atom cap.
+    """
+    n = len(space.atoms)
+    cap = size_limit()
+    if n > cap:
+        raise SizeLimit(f"{n} atoms exceeds the cap of {cap} (set {_SIZE_LIMIT_ENV})")
+    index = {z: i for i, z in enumerate(space.atoms)}
+
+    def row_of(c: LinearConstraint) -> list[Fraction]:
+        row = [Fraction(0)] * n
+        for z, coef in c.coeffs.items():
+            if z not in index:
+                raise ValidationError(f"constraint mentions unknown atom {z!r}")
+            row[index[z]] = coef
+        return row
+
+    eq_rows = [[Fraction(1)] * n]
+    eq_rhs = [Fraction(1)]
+    tight_candidates: list[tuple[list[Fraction], Fraction]] = []
+    for c in constraints:
+        if c.relation == "=":
+            eq_rows.append(row_of(c))
+            eq_rhs.append(c.rhs)
+        else:
+            tight_candidates.append((row_of(c), c.rhs))
+    for i in range(n):
+        facet = [Fraction(0)] * n
+        facet[i] = Fraction(1)
+        tight_candidates.append((facet, Fraction(0)))
+
+    r = matrix_rank(eq_rows)
+    k = n - r
+    found: set[tuple[Fraction, ...]] = set()
+    for chosen in itertools.combinations(range(len(tight_candidates)), k):
+        rows = eq_rows + [tight_candidates[i][0] for i in chosen]
+        rhs = eq_rhs + [tight_candidates[i][1] for i in chosen]
+        status, x = solve_linear(rows, rhs)
+        if status != UNIQUE:
+            continue
+        if any(v < 0 for v in x) or sum(x) != 1:
+            continue
+        p = Pmf(space, dict(zip(space.atoms, x)))
+        if all(c.satisfied_by(p) for c in constraints):
+            found.add(x)
+    if not found:
+        raise InfeasibleCredalSet("no distribution satisfies the constraints")
+    ordered = sorted(found, reverse=True)
+    return [Pmf(space, dict(zip(space.atoms, x))) for x in ordered]

@@ -170,6 +170,26 @@ class TestDecisionSafety:
         with pytest.raises(InfiniteLoss):
             check_decision_safety(ptilde, u, v, LossFunction(LOG), credal)
 
+    def test_tie_note_prints_values_as_reports_do(self):
+        space, u, v = product_space(2, 2)
+        uniform = Pmf.uniform(space)
+        verdict = check_decision_safety(
+            uniform, u, v, LossFunction(ZERO_ONE), CredalSet.from_vertices([uniform])
+        )
+        assert verdict.notes == (
+            "Bayes-act tie at conditioning value 0 broken canonically",
+            "Bayes-act tie at conditioning value 1 broken canonically",
+        )
+
+    def test_believed_infinite_loss_prints_values_as_reports_do(self):
+        space, u, v = product_space(2, 2)
+        uniform = Pmf.uniform(space)
+        table = {(D(0), "a"): 0, (D(1), "a"): math.inf, (D(0), "b"): math.inf, (D(1), "b"): 0}
+        with pytest.raises(InfiniteLoss) as info:
+            check_decision_safety(uniform, u, v, LossFunction(CUSTOM, custom_table=table),
+                                  CredalSet.from_vertices([uniform]))
+        assert str(info.value) == "believed loss infinite at conditioning value 0, outcome 1"
+
     def test_pivotal_safety_gives_decision_safety(self):
         # a simple common-law pivot with tie-free Bayes acts makes the
         # pragmatic policy earn exactly its believed loss for every

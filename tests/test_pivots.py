@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import joint_from_rows, pivotal_instance, product_space
+import safeprob
 from safeprob.core import CredalSet, OutcomeSpace, Pmf, Rv
 from safeprob.demos import monty_scenario
 from safeprob.errors import NotAPivot, NotFullSupport, UniquenessViolated
@@ -66,6 +71,28 @@ class TestCheckPivot:
         verdict = check_pivot(spec, u, v, credal)
         assert not verdict.is_pivot
         assert "undefined" in verdict.failure
+
+    def test_undefined_cell_is_named_in_atom_order(self):
+        # symbol cells hash differently per interpreter run; the message must not
+        script = (
+            "from safeprob.core import CredalSet, OutcomeSpace, Pmf, Rv\n"
+            "from safeprob.pivots import PivotSpec, check_pivot\n"
+            "atoms = [u + v for u in 'xy' for v in 'pq']\n"
+            "space = OutcomeSpace(atoms)\n"
+            "u = Rv(space, 'U', {z: z[0] for z in atoms})\n"
+            "v = Rv(space, 'V', {z: z[1] for z in atoms})\n"
+            "credal = CredalSet.from_vertices([Pmf.uniform(space)])\n"
+            "print(check_pivot(PivotSpec('empty', {}), u, v, credal).failure)\n"
+        )
+        src = str(Path(safeprob.__file__).resolve().parent.parent)
+        messages = {
+            subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+            ).stdout
+            for seed in ("1", "2")
+        }
+        assert messages == {"map undefined at cell ('x', 'p')\n"}
 
     def test_injective_but_not_simple(self):
         # second conditioning value reaches only one of two pivot values
