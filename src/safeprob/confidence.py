@@ -14,6 +14,9 @@ by bisection, and verifies coverage by seeded Monte Carlo.
 
 A raw-pivot adapter is included for families specified instead by a
 pivot's common law and a per-statistic monotone map.
+
+numpy and scipy are imported inside the functions that use them, so the
+exact modules of the package load without them.
 """
 
 from __future__ import annotations
@@ -21,9 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
-
-import numpy as np
-from scipy.special import gammainc, ndtr
 
 from .errors import BracketingFailure, DomainError, EquivalenceViolation, ValidationError
 
@@ -45,6 +45,8 @@ def gamma_reg(shape: float, x: float) -> float:
         raise DomainError(f"gamma_reg needs shape > 0, got {shape}")
     if not x >= 0:
         raise DomainError(f"gamma_reg needs x >= 0, got {x}")
+    from scipy.special import gammainc
+
     return float(gammainc(shape, x))
 
 
@@ -99,12 +101,19 @@ def normal_location(n: int) -> ParametricFamily1D:
     if n <= 0:
         raise ValidationError("sample size must be positive")
     root_n = math.sqrt(n)
+
+    def cdf(theta, v):
+        import numpy as np
+        from scipy.special import ndtr
+
+        return ndtr((np.asarray(v, dtype=float) - theta) * root_n)
+
     return ParametricFamily1D(
         name=f"normal-location(n={n})",
         theta_domain=(-math.inf, math.inf),
         statistic_domain=(-math.inf, math.inf),
         n=n,
-        cdf=lambda theta, v: ndtr((np.asarray(v, dtype=float) - theta) * root_n),
+        cdf=cdf,
         sampler=lambda theta, rng, size: rng.normal(theta, 1.0 / root_n, size),
         center=lambda v: float(v),
     )
@@ -114,12 +123,19 @@ def exponential_mean(n: int) -> ParametricFamily1D:
     """Mean of an exponential; statistic is the sum of n observations."""
     if n <= 0:
         raise ValidationError("sample size must be positive")
+
+    def cdf(theta, v):
+        import numpy as np
+        from scipy.special import gammainc
+
+        return gammainc(n, np.asarray(v, dtype=float) / theta)
+
     return ParametricFamily1D(
         name=f"exponential-mean(n={n})",
         theta_domain=(0.0, math.inf),
         statistic_domain=(0.0, math.inf),
         n=n,
-        cdf=lambda theta, v: gammainc(n, np.asarray(v, dtype=float) / theta),
+        cdf=cdf,
         sampler=lambda theta, rng, size: rng.gamma(n, theta, size),
         center=lambda v: float(v) / n,
     )
@@ -229,6 +245,7 @@ def coverage_estimate(
     tlo, thi = family.theta_domain
     if not (tlo < theta0 < thi):
         raise DomainError(f"parameter {theta0} outside open domain ({tlo}, {thi})")
+    import numpy as np
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     draws = np.asarray(family.sampler(theta0, rng, samples), dtype=float)

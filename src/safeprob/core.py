@@ -4,6 +4,10 @@ Outcome spaces, random variables, probability mass functions, credal sets
 (finite vertex lists or constraint polytopes) and conditioning, all in
 exact rational arithmetic. Every object is immutable after construction
 and every operation is a pure function, so concurrent readers are safe.
+Derived views (a pmf's weight tuple and integer weights, a variable's
+range and atom indices per value) are computed on first use and cached
+on the object; they depend on nothing else, so a race only computes the
+same value twice.
 
 Probabilities are `fractions.Fraction` throughout; nothing in this module
 ever rounds.
@@ -12,6 +16,7 @@ ever rounds.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -96,12 +101,14 @@ def value_sort_key(value):
 
 
 def format_value(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, tuple) and all(isinstance(c, Fraction) for c in value):
-        if len(value) == 1:
+    """Readable rendering: a rational as ``p/q``, a one-dimensional value
+    as its coordinate, any other tuple item by item in parentheses."""
+    if isinstance(value, (str, Fraction)):
+        return str(value)
+    if isinstance(value, tuple):
+        if len(value) == 1 and isinstance(value[0], Fraction):
             return str(value[0])
-        return "(" + ",".join(str(c) for c in value) + ")"
+        return "(" + ",".join(format_value(c) for c in value) + ")"
     return repr(value)
 
 
@@ -194,13 +201,40 @@ class Rv:
         return all(isinstance(v, tuple) and all(isinstance(c, Fraction) for c in v)
                    for v in self.table.values())
 
+    def _levels(self) -> tuple:
+        """(values in canonical order, atom indices per value, value code
+        per atom), computed in one pass over the atoms once per variable."""
+        cached = getattr(self, "_level_cache", None)
+        if cached is None:
+            groups: dict = {}
+            for i, z in enumerate(self.space.atoms):
+                groups.setdefault(self.table[z], []).append(i)
+            values = tuple(sorted(groups, key=value_sort_key))
+            codes = [0] * len(self.space.atoms)
+            for k, val in enumerate(values):
+                for i in groups[val]:
+                    codes[i] = k
+            cells = MappingProxyType({val: tuple(groups[val]) for val in values})
+            cached = (values, cells, tuple(codes))
+            object.__setattr__(self, "_level_cache", cached)
+        return cached
+
     def range(self) -> list:
-        """Distinct values in canonical order."""
-        return sorted(set(self.table.values()), key=value_sort_key)
+        """Distinct values in canonical order, as a fresh list."""
+        return list(self._levels()[0])
+
+    def cells(self) -> Mapping:
+        """Ascending atom indices per value, values in canonical order."""
+        return self._levels()[1]
+
+    def codes(self) -> tuple[int, ...]:
+        """Per atom, the position of its value in :meth:`range`."""
+        return self._levels()[2]
 
     def range_given(self, other: "Rv", other_value) -> list:
         """Values of self on atoms where ``other`` takes ``other_value``."""
-        vals = {self.table[z] for z in self.space.atoms if other.table[z] == other_value}
+        atoms = self.space.atoms
+        vals = {self.table[atoms[i]] for i in other.cells().get(other_value, ())}
         return sorted(vals, key=value_sort_key)
 
     def compose(self, name: str, func) -> "Rv":
@@ -264,7 +298,23 @@ class Pmf:
         return self.weights[atom]
 
     def as_tuple(self) -> tuple[Fraction, ...]:
-        return tuple(self.weights[z] for z in self.space.atoms)
+        """Weights in atom order, computed once."""
+        cached = getattr(self, "_tuple", None)
+        if cached is None:
+            cached = tuple(self.weights[z] for z in self.space.atoms)
+            object.__setattr__(self, "_tuple", cached)
+        return cached
+
+    def integer_weights(self) -> tuple[int, ...]:
+        """Weights in atom order scaled by the lcm of their denominators,
+        computed once; exact linear sign tests can run on these."""
+        cached = getattr(self, "_integers", None)
+        if cached is None:
+            x = self.as_tuple()
+            scale = math.lcm(*(c.denominator for c in x))
+            cached = tuple(c.numerator * (scale // c.denominator) for c in x)
+            object.__setattr__(self, "_integers", cached)
+        return cached
 
     def prob(self, rv: Rv, value) -> Fraction:
         """P(rv = value)."""
@@ -445,7 +495,7 @@ def enumerate_vertices(
 
 def support(p: Pmf, x: Rv) -> set:
     """Values of ``x`` receiving positive probability under ``p``."""
-    return {x.table[z] for z in p.space.atoms if p.weights[z] > 0}
+    return {x.table[z] for z, w in p.weights.items() if w}
 
 
 def determines(
@@ -523,17 +573,17 @@ class ConditionalTable:
 
 def conditional_table(p: Pmf, u: Rv, v: Rv) -> ConditionalTable:
     """P(u | v) as a table over range(v), exact where supported."""
-    u_range = u.range()
+    u_range, codes, x = u.range(), u.codes(), p.as_tuple()
     rows = {}
     arbitrary = set()
-    for val in v.range():
-        mass = p.prob(v, val)
-        if mass > 0:
-            row = {uv: Fraction(0) for uv in u_range}
-            for z in p.space.atoms:
-                if v.table[z] == val and p.weights[z] > 0:
-                    row[u.table[z]] += p.weights[z] / mass
-            rows[val] = row
+    for val, idx in v.cells().items():
+        mass = sum((x[i] for i in idx), Fraction(0))
+        if mass:
+            row = [Fraction(0)] * len(u_range)
+            for i in idx:
+                if x[i]:
+                    row[codes[i]] += x[i] / mass
+            rows[val] = dict(zip(u_range, row))
         else:
             uniform = Fraction(1, len(u_range))
             rows[val] = {uv: uniform for uv in u_range}
@@ -544,6 +594,10 @@ def conditional_table(p: Pmf, u: Rv, v: Rv) -> ConditionalTable:
 def essentially_unique(ptilde: Pmf, v: Rv, credal: CredalSet) -> bool:
     """True when every vertex-supported conditioning value is also
     supported by the pragmatic distribution, so its conditionals are
-    pinned down wherever a candidate truth can land."""
-    covered = support(ptilde, v)
-    return all(support(vertex, v) <= covered for vertex in credal.vertex_list())
+    pinned down wherever a candidate truth can land: no vertex puts mass
+    on an atom whose conditioning value the pragmatic distribution
+    leaves without mass."""
+    vertices = credal.vertex_list()
+    x = ptilde.as_tuple()
+    uncovered = [i for idx in v.cells().values() if not any(x[i] for i in idx) for i in idx]
+    return not any(p.as_tuple()[i] for p in vertices for i in uncovered)

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-import numpy as np
-
 from .core import (
     CredalSet,
     Pmf,
@@ -264,6 +262,9 @@ def gamble_demo(theta_bar: float, n: int, samples: int, seed: int) -> dict:
         raise ValidationError("the demo requires a negative true parameter")
     if n <= 0 or samples <= 0:
         raise ValidationError("n and samples must be positive")
+    import numpy as np
+    from scipy.special import ndtr
+
     from .confidence import normal_cdf
 
     sqrt_n = math.sqrt(n)
@@ -273,9 +274,6 @@ def gamble_demo(theta_bar: float, n: int, samples: int, seed: int) -> dict:
     theta_hat = rng.normal(loc=theta_bar, scale=1.0 / sqrt_n, size=samples)
     accept = theta_hat > 0
     actual_mc = float(np.mean(accept))  # loss is 1 whenever the rule accepts
-
-    from scipy.special import ndtr
-
     believed_terms = np.where(accept, 2.0 * ndtr(-theta_hat * sqrt_n) - 1.0, 0.0)
     believed_mc = float(np.mean(believed_terms))
 

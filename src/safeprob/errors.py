@@ -52,12 +52,14 @@ class UniquenessViolated(SafeprobError):
     the probability-of-outcome map is not injective."""
 
     def __init__(self, v, p, outcomes):
+        from .core import format_value
+
         self.v = v
         self.p = p
         self.outcomes = tuple(outcomes)
         super().__init__(
-            f"conditional probability {p} at conditioning value {v!r} is "
-            f"shared by outcomes {self.outcomes!r}"
+            f"conditional probability {p} at conditioning value {format_value(v)} is "
+            f"shared by outcomes {format_value(self.outcomes)}"
         )
 
 

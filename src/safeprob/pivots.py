@@ -21,12 +21,14 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .core import (
+    ConditionalTable,
     CredalSet,
     Pmf,
     Rv,
     condition,
     conditional_table,
     determines,
+    format_value,
     support,
     value_sort_key,
 )
@@ -117,8 +119,9 @@ def _check_pivot_on(
             if seen.setdefault(pv, uu) != uu:
                 return PivotVerdict(
                     False, False,
-                    f"not injective at conditioning value {vv!r}: targets "
-                    f"{seen[pv]!r} and {uu!r} both map to {pv!r}",
+                    f"not injective at conditioning value {format_value(vv)}: targets "
+                    f"{format_value(seen[pv])} and {format_value(uu)} both map to "
+                    f"{format_value(pv)}",
                 )
         images[vv] = set(seen)
 
@@ -184,10 +187,9 @@ def check_pivotal_safety(
             raise NotAPivot(pv.failure or "pivot requirements not met")
         pivot = _pivot_table(spec, u, v, stratum)
         overall = _law(pivot, ptilde.as_tuple())
-        by_value: dict = {}
-        for i in stratum:
-            by_value.setdefault(v.table[u.space.atoms[i]], []).append(i)
-        cells = {vv: by_value[vv] for vv in sorted(by_value, key=value_sort_key)}
+        inside = set(stratum)
+        cells = {vv: [i for i in idx if i in inside] for vv, idx in v.cells().items()
+                 if not inside.isdisjoint(idx)}
         checks = (
             (_law_residuals(pivot, overall, cells), [ptilde],
              "pragmatic pivot law varies with the conditioner"),
@@ -204,8 +206,7 @@ def check_pivotal_safety(
     return Verdict(holds=True, notes=tuple(notes))
 
 
-def _outcome_probability_mapping(ptilde: Pmf, u: Rv, v: Rv) -> dict:
-    table = conditional_table(ptilde, u, v)
+def _outcome_probability_mapping(table: ConditionalTable, u: Rv, v: Rv) -> dict:
     return {
         (uu, vv): (Fraction(table.rows[vv][uu]),)
         for vv in v.range() for uu in u.range_given(v, vv)
@@ -230,7 +231,7 @@ def canonical_pivot(ptilde: Pmf, u: Rv, v: Rv) -> PivotSpec:
             by_prob[prob] = uu
     return PivotSpec(
         name=f"prob({u.name}|{v.name})",
-        mapping=_outcome_probability_mapping(ptilde, u, v),
+        mapping=_outcome_probability_mapping(table, u, v),
     )
 
 
@@ -259,7 +260,7 @@ def pivot_equivalence(
     except UniquenessViolated:
         spec = PivotSpec(
             name=f"prob({u.name}|{v.name})",
-            mapping=_outcome_probability_mapping(ptilde, u, v),
+            mapping=_outcome_probability_mapping(conditional_table(ptilde, u, v), u, v),
         )
         hypothesis_met = False
     uprime = spec.as_rv(u, v)

@@ -58,7 +58,6 @@ from .core import (
     essentially_unique,
     format_value,
     joint_rv,
-    support,
     value_sort_key,
 )
 from .errors import NonNumericTarget, NotEssentiallyUnique, ValidationError
@@ -232,7 +231,7 @@ def _integer_row(plus: Linear, minus: Linear, stratum: Sequence[int], n: int) ->
     return row
 
 
-def _dot(row: list[int], ints: list[int]) -> int:
+def _dot(row: list[int], ints: Sequence[int]) -> int:
     return sum(map(operator.mul, row, ints))
 
 
@@ -263,9 +262,7 @@ def first_failure(
         return Fraction(1) if stratum is None else sum((x[i] for i in stratum), Fraction(0))
 
     for p in vertices:
-        x = p.as_tuple()
-        scale = math.lcm(*(c.denominator for c in x))
-        ints = [c.numerator * (scale // c.denominator) for c in x]
+        x, ints = p.as_tuple(), p.integer_weights()
         for r, row in zip(residuals, rows):
             if isinstance(r, HullTest):
                 mass = mass_of(x)
@@ -294,13 +291,19 @@ def first_failure(
     return None
 
 
+def supported_values(w: Rv, vertices: Sequence[Pmf]) -> list:
+    """Values of ``w`` some vertex gives mass to, in canonical order."""
+    tuples = [p.as_tuple() for p in vertices]
+    return [wv for wv, idx in w.cells().items() if any(x[i] for i in idx for x in tuples)]
+
+
 def stratify(w: Rv, values: Sequence, vertices: Sequence[Pmf], notes: list):
     """Yield ``(value, atom indices, vertices giving it mass)`` for each
     stratum value of ``w`` in order, noting the vertices skipped."""
-    atoms = vertices[0].space.atoms
+    cells = w.cells()
     for wv in values:
-        stratum = [i for i, z in enumerate(atoms) if w.table[z] == wv]
-        kept = [p for p in vertices if any(p.weights[atoms[i]] for i in stratum)]
+        stratum = cells[wv]
+        kept = [p for p in vertices if any(p.as_tuple()[i] for i in stratum)]
         if len(kept) < len(vertices):
             notes.append(f"stratum {w.name}={format_value(wv)}: "
                          f"skipped {len(vertices) - len(kept)} zero-mass vertex(es)")
@@ -332,21 +335,17 @@ def notion_residuals(
     """
     names, x = ptilde.space.atoms, ptilde.as_tuple()
     atoms = range(len(names)) if stratum is None else stratum
-    ut = [u.table[z] for z in names]
-    vt = [v.table[z] for z in names]
-    cells: dict = {}
-    for i in atoms:
-        cells.setdefault(vt[i], []).append(i)
-    supported = sorted((val for val, idx in cells.items() if any(x[i] for i in idx)),
-                       key=value_sort_key)
+    cells = v.cells()
+    if stratum is not None:
+        inside = set(stratum)
+        cells = {val: [i for i in idx if i in inside] for val, idx in cells.items()}
+    supported = [val for val, idx in cells.items() if any(x[i] for i in idx)]
 
     # one component per target value (full) or coordinate (average):
     # (counterexample label, coefficient per atom, pragmatic claim per value)
     components = []
     if left == LEFT_FULL:
-        u_range = u.range()
-        code = {uv: k for k, uv in enumerate(u_range)}
-        uk = [code[t] for t in ut]
+        u_range, uk = u.range(), u.codes()
         rows = {}
         for val in supported:
             row = [Fraction(0)] * len(u_range)
@@ -363,6 +362,7 @@ def notion_residuals(
             components.append((uv, [int(j == k) for j in uk],
                                {val: rows[val][k] for val in supported}))
     else:
+        ut = [u.table[z] for z in names]
         for j in range(len(ut[0])):
             claims = {
                 val: sum((x[i] * ut[i][j] for i in cells[val]), Fraction(0))
@@ -417,8 +417,7 @@ def check_safety(query: SafetyQuery, ptilde: Pmf, credal: CredalSet) -> Verdict:
     if w is None:
         ce = first_failure(notion_residuals(*modes, u, v, ptilde), verts)
         return Verdict(holds=ce is None, counterexample=ce)
-    values = sorted({wv for p in verts for wv in support(p, w)}, key=value_sort_key)
-    for wv, stratum, kept in stratify(w, values, verts, notes):
+    for wv, stratum, kept in stratify(w, supported_values(w, verts), verts, notes):
         ce = first_failure(notion_residuals(*modes, u, v, ptilde, stratum), kept, stratum, wv)
         if ce is not None:
             return Verdict(holds=False, counterexample=ce, notes=tuple(notes))

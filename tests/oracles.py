@@ -5,9 +5,11 @@ decided geometrically (orientation sign tests) instead of by linear
 feasibility, the coarsening quantifier is enumerated over partitions
 with the per-partition question settled in aggregated coordinates, and
 the exact notions are decided by the per-mode vertex loops that predate
-their residual form, and credal geometry is computed by the ``Fraction``
-elimination kernel and the full-width basis enumerator that predate the
-integer kernel (the last two sections of this module).
+their residual form on top of the value-set guard, conditional table and
+stratum list that predate their atom-index form, and credal geometry is
+computed by the ``Fraction`` elimination kernel and the full-width basis
+enumerator that predate the integer kernel (the last two sections of this
+module).
 """
 
 from __future__ import annotations
@@ -17,23 +19,21 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from safeprob.calibration import predicted_distribution_rv
+from safeprob.calibration import PredictedDistributionRv, encode_row
 from safeprob.core import (
     _SIZE_LIMIT_ENV,
+    ConditionalTable,
     CredalSet,
     LinearConstraint,
     OutcomeSpace,
     Pmf,
     Rv,
     condition,
-    conditional_table,
     determines,
-    essentially_unique,
     expectation,
     format_value,
     joint_rv,
     size_limit,
-    support,
     value_pmf,
     value_sort_key,
 )
@@ -153,6 +153,70 @@ def coarsening_quantifier_oracle(point: dict, generators: list[dict], values: li
 
 
 # ---------------------------------------------------------------------------
+# Reference guard, conditional table and stratum list.
+#
+# The value-set forms that predate the atom-index guard and strata of
+# ``core.essentially_unique``, ``core.conditional_table`` and
+# ``safety.supported_values``: each vertex's support is built as a set of
+# values. Kept verbatim, except that ranges come from ``value_range`` (the
+# sorted value set ``Rv.range`` computed before it was cached), as the
+# differential oracle in ``tests/test_guard.py`` and as the helpers of the
+# reference checkers below.
+
+
+def value_range(x: Rv) -> list:
+    """Distinct values in canonical order."""
+    return sorted(set(x.table.values()), key=value_sort_key)
+
+
+def support(p: Pmf, x: Rv) -> set:
+    """Values of ``x`` receiving positive probability under ``p``."""
+    return {x.table[z] for z in p.space.atoms if p.weights[z] > 0}
+
+
+def essentially_unique(ptilde: Pmf, v: Rv, credal: CredalSet) -> bool:
+    """True when every vertex-supported conditioning value is also
+    supported by the pragmatic distribution, so its conditionals are
+    pinned down wherever a candidate truth can land."""
+    covered = support(ptilde, v)
+    return all(support(vertex, v) <= covered for vertex in credal.vertex_list())
+
+
+def conditional_table(p: Pmf, u: Rv, v: Rv) -> ConditionalTable:
+    """P(u | v) as a table over range(v), exact where supported."""
+    u_range = value_range(u)
+    rows = {}
+    arbitrary = set()
+    for val in value_range(v):
+        mass = p.prob(v, val)
+        if mass > 0:
+            row = {uv: Fraction(0) for uv in u_range}
+            for z in p.space.atoms:
+                if v.table[z] == val and p.weights[z] > 0:
+                    row[u.table[z]] += p.weights[z] / mass
+            rows[val] = row
+        else:
+            uniform = Fraction(1, len(u_range))
+            rows[val] = {uv: uniform for uv in u_range}
+            arbitrary.add(val)
+    return ConditionalTable(given=v, target=u, rows=rows, arbitrary_rows=frozenset(arbitrary))
+
+
+def stratum_values(w: Rv, verts) -> list:
+    """Stratum values some vertex gives mass to, in canonical order."""
+    return sorted({wv for p in verts for wv in support(p, w)}, key=value_sort_key)
+
+
+def predicted_distribution_rv(
+    ptilde: Pmf, u: Rv, v: Rv, name: Optional[str] = None
+) -> PredictedDistributionRv:
+    table = conditional_table(ptilde, u, v)
+    label = name or f"pred({u.name}|{v.name})"
+    values = {z: encode_row(table.rows[v.table[z]]) for z in ptilde.space.atoms}
+    return PredictedDistributionRv(base=table, as_rv=Rv.generalized(ptilde.space, label, values))
+
+
+# ---------------------------------------------------------------------------
 # Reference checkers for the exact notions.
 #
 # The per-mode vertex loops that decided the exact notions before they were
@@ -235,7 +299,7 @@ def _check_unstratified(
 
         else:  # RIGHT_PLAIN, denominators cleared
             def per_vertex(p):
-                for val in v.range():
+                for val in value_range(v):
                     pv = p.prob(v, val)
                     if pv == 0:
                         continue
@@ -256,11 +320,11 @@ def _check_unstratified(
 
     # left == LEFT_FULL: pointwise distribution checks over range(u)
     supported, rows = _conditional_rows(ptilde, u, v)
-    u_range = u.range()
+    u_range = value_range(u)
 
     if right == RIGHT_PLAIN:
         def per_vertex(p):
-            for val in v.range():
+            for val in value_range(v):
                 pv = p.prob(v, val)
                 if pv == 0:
                     continue
@@ -335,7 +399,7 @@ def check_safety(query: SafetyQuery, ptilde: Pmf, credal: CredalSet) -> Verdict:
         return Verdict(holds=ce is None, counterexample=ce, notes=tuple(notes))
 
     flat = SafetyQuery(u, query.left_mode, v, query.right_mode)
-    strata = sorted({wv for p in verts for wv in support(p, w)}, key=value_sort_key)
+    strata = stratum_values(w, verts)
     for wv in strata:
         ptilde_w = condition(ptilde, w, wv)
         kept, originals = [], []
@@ -377,7 +441,7 @@ def check_calibrated_full(u: Rv, v: Rv, ptilde: Pmf, credal: CredalSet) -> Verdi
         {pred.table[z] for p in verts for z in p.space.atoms if p.weights[z] > 0},
         key=value_sort_key,
     )
-    u_range = u.range()
+    u_range = value_range(u)
     for p in verts:
         for row in rows:
             mass = p.prob(pred, row)
@@ -409,8 +473,8 @@ def check_calibrated_mean(u: Rv, v: Rv, ptilde: Pmf, credal: CredalSet) -> Verdi
     for val in sorted(support(ptilde, v), key=value_sort_key):
         mean_at[val] = expectation(condition(ptilde, v, val), u)
     fallback = tuple(
-        sum((uv[j] for uv in u.range()), start=Fraction(0)) / len(u.range())
-        for j in range(len(u.range()[0]))
+        sum((uv[j] for uv in value_range(u)), start=Fraction(0)) / len(value_range(u))
+        for j in range(len(value_range(u)[0]))
     )
     mean_rv = Rv.generalized(
         ptilde.space,
@@ -466,7 +530,7 @@ def check_decision_safety(
         )
     notes: list[str] = []
     if loss.kind == CUSTOM:
-        missing = set(u.range()) - set(loss.outcomes())
+        missing = set(value_range(u)) - set(loss.outcomes())
         if missing:
             raise ValidationError(
                 f"custom loss table lacks outcomes {sorted(missing, key=value_sort_key)}"
@@ -477,7 +541,7 @@ def check_decision_safety(
             "policy at unsupported conditioning values uses the uniform fill row"
         )
     policy = {}
-    for vv in v.range():
+    for vv in value_range(v):
         act = bayes_act(loss, table.rows[vv])
         if act.tied:
             notes.append(f"Bayes-act tie at conditioning value {vv!r} broken canonically")
@@ -586,7 +650,7 @@ def check_pivotal_safety(
     pivot is independent of the conditioner under the pragmatic
     distribution and its pragmatic law equals the common credal law.
     """
-    if support(ptilde, v) != set(v.range()):
+    if support(ptilde, v) != set(value_range(v)):
         raise NotFullSupport(
             f"{v.name} lacks full support under the pragmatic distribution"
         )
@@ -632,7 +696,7 @@ def check_pivotal_safety(
         ce = run_stratum(ptilde, verts, ptilde.space.atoms, None)
         return Verdict(holds=ce is None, counterexample=ce, notes=tuple(notes))
 
-    for wv in sorted(set(w.range()), key=value_sort_key):
+    for wv in sorted(set(value_range(w)), key=value_sort_key):
         atoms_w = [z for z in ptilde.space.atoms if w.table[z] == wv]
         pt_w = condition(ptilde, w, wv)
         kept = [condition(p, w, wv) for p in verts if p.prob(w, wv) > 0]

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import safeprob
 from safeprob import bundled_scenario
 from safeprob.cli import main
 from safeprob.demos import dilation_scenario, monty_scenario
@@ -243,6 +247,38 @@ class TestCli:
         _, first = run_cli(capsys, *args)
         _, second = run_cli(capsys, *args)
         assert first == second
+
+    def test_pivot_errors_print_readable_values(self, capsys):
+        path = str(bundled_scenario("dilation.scn"))
+        code = main(["check", path, "--u", "U", "--v", "V", "--notion", "pivotal",
+                     "--pivot", "V"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: not injective at conditioning value 0: targets 0 and 1 both map to 0\n"
+        )
+        warning = ("pivotal safety not evaluated: conditional probability 1/2 at "
+                   "conditioning value 0 is shared by outcomes (0,1)")
+        _, out = run_cli(capsys, "report", path, "--u", "V", "--v", "U")
+        assert f"warning: {warning}" in out.splitlines()
+        _, out = run_cli(capsys, "report", path, "--u", "V", "--v", "U", "--json")
+        assert json.loads(out)["warnings"] == [warning]
+
+    def test_forecast_values_print_readable(self, capsys):
+        # the calibration conditioner's values are encoded forecast rows
+        path = str(bundled_scenario("dilation.scn"))
+        _, out = run_cli(capsys, "report", path, "--u", "V", "--v", "U")
+        assert "  v=((0,1/2),(1,1/2)) u=0 lhs=1 rhs=1/2" in out.splitlines()
+        _, out = run_cli(capsys, "report", path, "--u", "V", "--v", "U", "--json")
+        ce = json.loads(out)["verdicts"]["calibrated"]["counterexample"]
+        assert ce["v"] == "((0,1/2),(1,1/2))"
+
+    def test_exact_modules_load_without_the_float_stack(self):
+        script = ("import sys, safeprob, safeprob.cli\n"
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))")
+        src = str(Path(safeprob.__file__).resolve().parent.parent)
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              check=True, env={**os.environ, "PYTHONPATH": src})
+        assert done.stdout == "[]\n"
 
     def test_coverage_deterministic_with_seed(self, capsys):
         args = ("coverage", "--family", "normal", "--n", "1", "--theta0", "0.0",
