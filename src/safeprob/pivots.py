@@ -65,7 +65,9 @@ class PivotSpec:
         for z in u.space.atoms:
             cell = (u.table[z], v.table[z])
             if cell not in self.mapping:
-                raise ValidationError(f"pivot {self.name!r} undefined at cell {cell!r}")
+                raise ValidationError(
+                    f"pivot {self.name!r} undefined at cell {format_value(cell)}"
+                )
             table[z] = self.mapping[cell]
         return Rv.generalized(u.space, self.name, table)
 
@@ -105,7 +107,7 @@ def _check_pivot_on(
     cells = [(u.table[z], v.table[z]) for z in atoms]
     for cell in cells:
         if cell not in spec.mapping:
-            return PivotVerdict(False, False, f"map undefined at cell {cell!r}")
+            return PivotVerdict(False, False, f"map undefined at cell {format_value(cell)}")
 
     v_values = sorted({v.table[z] for z in atoms}, key=value_sort_key)
     images = {}

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
-from ._linalg import UNIQUE, matrix_rank, solve_linear
+from ._linalg import UNIQUE, integer_row, matrix_rank, solve_linear
 from .core import (
     CredalSet,
     Pmf,
@@ -145,10 +145,19 @@ def hull_membership(point: Mapping, generators: Sequence[Mapping]) -> bool:
     """Is ``point`` a convex combination of ``generators``?
 
     All arguments are probability maps over the same finite value set
-    (missing keys mean zero). Decided by exact rational feasibility:
-    every candidate support of size up to the constraint rank is solved
-    exactly and accepted when its weights are nonnegative, which finds a
-    basic feasible solution whenever any feasible combination exists.
+    (missing keys mean zero). Decided by exact rational feasibility of
+    ``sum_j lam_j g_j = point``, ``sum_j lam_j = 1``, ``lam >= 0``: every
+    basis, a set of ``rank`` generators, is solved exactly and accepted
+    when its weights are nonnegative. Bases suffice: a feasible
+    combination has a basic solution whose support columns are linearly
+    independent; that support extends to a basis, on which the solution
+    is unique and still nonnegative.
+
+    Each value row ``[g_1(val), ..., g_m(val) | point(val)]`` is scaled to
+    integers once per call. The sum-to-one row is dropped when the point
+    and every generator sum exactly to 1, since it is then the sum of the
+    value rows and every subsystem keeps its solutions; it is kept
+    whenever some map does not sum to 1.
     """
     values = sorted(
         {v for v in point} | {v for g in generators for v in g}, key=value_sort_key
@@ -156,16 +165,16 @@ def hull_membership(point: Mapping, generators: Sequence[Mapping]) -> bool:
     m = len(generators)
     if m == 0:
         return False
-    a = [[Fraction(g.get(val, 0)) for g in generators] for val in values]
-    a.append([Fraction(1)] * m)
-    b = [Fraction(point.get(val, 0)) for val in values] + [Fraction(1)]
-    rank = matrix_rank(a)
-    for k in range(1, min(m, rank) + 1):
-        for cols in itertools.combinations(range(m), k):
-            sub = [[row[c] for c in cols] for row in a]
-            status, lam = solve_linear(sub, b)
-            if status == UNIQUE and all(x >= 0 for x in lam):
-                return True
+    cols = [[Fraction(p.get(val, 0)) for val in values] for p in (*generators, point)]
+    rows = [integer_row(row) for row in zip(*cols)]
+    if any(sum(col) != 1 for col in cols):
+        rows.append([1] * (m + 1))
+    rank = matrix_rank([row[:m] for row in rows])
+    b = [row[m] for row in rows]
+    for basis in itertools.combinations(range(m), rank):
+        status, lam = solve_linear([[row[c] for c in basis] for row in rows], b)
+        if status == UNIQUE and all(x >= 0 for x in lam):
+            return True
     return False
 
 

@@ -8,8 +8,10 @@ the exact notions are decided by the per-mode vertex loops that predate
 their residual form on top of the value-set guard, conditional table and
 stratum list that predate their atom-index form, and credal geometry is
 computed by the ``Fraction`` elimination kernel and the full-width basis
-enumerator that predate the integer kernel (the last two sections of this
-module).
+enumerator that predate the integer kernel. ``dist-range`` is decided by
+the subset search that predates the basis-only one: every support of
+size one up to the rank, with the sum-to-one row always present, solved
+on the ``Fraction`` kernel (the last three sections of this module).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from safeprob.calibration import PredictedDistributionRv, encode_row
 from safeprob.core import (
@@ -59,7 +61,6 @@ from safeprob.safety import (
     Counterexample,
     SafetyQuery,
     Verdict,
-    hull_membership,
 )
 
 
@@ -835,3 +836,40 @@ def enumerate_vertices(
         raise InfeasibleCredalSet("no distribution satisfies the constraints")
     ordered = sorted(found, reverse=True)
     return [Pmf(space, dict(zip(space.atoms, x))) for x in ordered]
+
+
+# ---------------------------------------------------------------------------
+# Reference hull membership.
+#
+# The subset search that tried every support of size one up to the rank,
+# kept verbatim as the oracle for ``safety.hull_membership`` (its solves run
+# on the ``Fraction`` kernel above): the ``dist-range`` checker above uses
+# it, and ``tests/test_hull.py`` compares results and solve counts.
+
+
+def hull_membership(point: Mapping, generators: Sequence[Mapping]) -> bool:
+    """Is ``point`` a convex combination of ``generators``?
+
+    All arguments are probability maps over the same finite value set
+    (missing keys mean zero). Decided by exact rational feasibility:
+    every candidate support of size up to the constraint rank is solved
+    exactly and accepted when its weights are nonnegative, which finds a
+    basic feasible solution whenever any feasible combination exists.
+    """
+    values = sorted(
+        {v for v in point} | {v for g in generators for v in g}, key=value_sort_key
+    )
+    m = len(generators)
+    if m == 0:
+        return False
+    a = [[Fraction(g.get(val, 0)) for g in generators] for val in values]
+    a.append([Fraction(1)] * m)
+    b = [Fraction(point.get(val, 0)) for val in values] + [Fraction(1)]
+    rank = matrix_rank(a)
+    for k in range(1, min(m, rank) + 1):
+        for cols in itertools.combinations(range(m), k):
+            sub = [[row[c] for c in cols] for row in a]
+            status, lam = solve_linear(sub, b)
+            if status == UNIQUE and all(x >= 0 for x in lam):
+                return True
+    return False

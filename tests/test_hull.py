@@ -1,0 +1,179 @@
+"""Differential and metamorphic suite for ``safety.hull_membership``.
+
+The basis search is compared against the subset search it replaced (kept
+in ``oracles``, solving on the ``Fraction`` kernel): the same boolean on
+random hulls of 2-6 values and 1-12 generators, with points that are
+mixtures, generators or arbitrary maps, duplicate and rank-deficient
+generator sets, keys missing or set to 0, and unnormalised maps (where
+the sum-to-one row must stay). The number of ``solve_linear`` calls is
+counted on both sides: the basis search solves at most C(m, rank)
+systems, exactly that many when the point is outside, and then no more
+than the oracle. An inside point may cost more solves than the oracle
+spent: its first feasible support can be small while many bases before
+any basis containing it are singular or negative (pinned below).
+"""
+
+from __future__ import annotations
+
+import contextlib
+from fractions import Fraction
+from math import comb
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from safeprob import safety
+from safeprob.safety import hull_membership
+
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
+
+weights = st.integers(0, 4)
+scales = st.sampled_from([Fraction(1, 2), Fraction(3, 2), Fraction(2)])
+
+
+@contextlib.contextmanager
+def counting(module):
+    """Counts the calls ``module`` makes to its ``solve_linear``."""
+    calls = [0]
+    solve = module.solve_linear
+
+    def counted(a, b):
+        calls[0] += 1
+        return solve(a, b)
+
+    module.solve_linear = counted
+    try:
+        yield calls
+    finally:
+        module.solve_linear = solve
+
+
+def solves(module, point, generators) -> tuple[bool, int]:
+    with counting(module) as calls:
+        return module.hull_membership(point, generators), calls[0]
+
+
+def rank_of(point, generators) -> int:
+    """Rank of the generator columns stacked on the sum-to-one row."""
+    values = sorted({v for g in (point, *generators) for v in g})
+    a = [[Fraction(g.get(val, 0)) for g in generators] for val in values]
+    return oracles.matrix_rank([*a, [Fraction(1)] * len(generators)])
+
+
+def _as_map(draw, values, ws) -> dict:
+    """The pmf with integer weights ``ws``; a zero weight is left out or
+    stored as 0."""
+    total = sum(ws)
+    return {val: Fraction(w, total) for val, w in zip(values, ws) if w or draw(st.booleans())}
+
+
+def _mix(ws, maps, values) -> dict:
+    total = sum(ws)
+    return {val: sum((Fraction(w, total) * g.get(val, 0) for w, g in zip(ws, maps)), Fraction(0))
+            for val in values}
+
+
+def _nonzero(n):
+    return st.lists(weights, min_size=n, max_size=n).filter(any)
+
+
+@st.composite
+def hulls(draw):
+    """``(point, generators)`` over 2-6 values with 1-12 generators."""
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(1, 12))
+    values = [(Fraction(i),) for i in range(n)]
+    if draw(st.booleans()):  # rank-deficient: mixtures of a few base maps
+        bases = [_as_map(draw, values, draw(_nonzero(n)))
+                 for _ in range(draw(st.integers(1, max(1, n - 2))))]
+        gens = [_mix(draw(_nonzero(len(bases))), bases, values) for _ in range(m)]
+    else:
+        gens = [_as_map(draw, values, draw(_nonzero(n))) for _ in range(m)]
+    for i in range(1, m):  # duplicates
+        if draw(st.integers(0, 4)) == 0:
+            gens[i] = dict(gens[draw(st.integers(0, i - 1))])
+    kind = draw(st.sampled_from(["mixture", "generator", "outside"]))
+    if kind == "mixture":
+        point = _mix(draw(_nonzero(m)), gens, values)
+    elif kind == "generator":
+        point = dict(gens[draw(st.integers(0, m - 1))])
+    else:
+        point = _as_map(draw, values, draw(_nonzero(n)))
+    if draw(st.integers(0, 3)) == 0:  # unnormalised: the sum-to-one row must stay
+        scale = draw(scales)
+        target = draw(st.sampled_from(["point", "one generator", "all"]))
+        if target != "one generator":
+            point = {val: x * scale for val, x in point.items()}
+        if target != "point":
+            for i in range(m) if target == "all" else [draw(st.integers(0, m - 1))]:
+                gens[i] = {val: x * scale for val, x in gens[i].items()}
+    return point, gens
+
+
+@given(hulls())
+@SETTINGS
+def test_matches_oracle_within_the_solve_budget(case):
+    point, gens = case
+    got, mine = solves(safety, point, gens)
+    want, theirs = solves(oracles, point, gens)
+    assert got == want
+    budget = comb(len(gens), rank_of(point, gens))
+    assert mine <= budget
+    if not got:
+        assert mine == budget <= theirs
+
+
+@given(hulls(), st.randoms(use_true_random=False))
+@SETTINGS
+def test_metamorphic(case, rng):
+    point, gens = case
+    want = hull_membership(point, gens)
+    shuffled = list(gens)
+    rng.shuffle(shuffled)
+    assert hull_membership(point, shuffled) == want
+    assert hull_membership(point, [*gens, rng.choice(gens)]) == want
+    assert hull_membership(point, [*gens, point])
+
+
+H = Fraction(1, 2)
+
+
+def test_unnormalised_point_keeps_the_sum_row():
+    g = {0: Fraction(1, 4), 1: Fraction(3, 4)}
+    assert not hull_membership({0: H, 1: Fraction(3, 2)}, [g, {0: H, 1: H}])
+    # a generator of mass 1/2: only its own multiple with weight 1 is inside
+    half = {0: Fraction(1, 4), 1: Fraction(1, 4)}
+    assert hull_membership({0: Fraction(1, 4), 1: Fraction(1, 4)}, [half])
+    assert not hull_membership({0: Fraction(1, 8), 1: Fraction(1, 8)}, [half])
+
+
+def test_empty_and_zero_maps():
+    assert not hull_membership({0: Fraction(1)}, [])
+    assert hull_membership({}, [{}])
+    assert hull_membership({0: Fraction(0)}, [{}, {0: Fraction(1)}])
+    assert not hull_membership({0: Fraction(1)}, [{}, {0: Fraction(0)}])
+
+
+def test_inside_point_found_among_bases():
+    # the point equal to generator 3 is found at basis (0, 1, 3), the
+    # second basis, instead of at the fourth singleton
+    gens = [
+        {0: Fraction(1), 1: Fraction(0), 2: Fraction(0)},
+        {0: Fraction(0), 1: Fraction(1), 2: Fraction(0)},
+        {0: H, 1: Fraction(1, 4), 2: Fraction(1, 4)},
+        {0: Fraction(0), 1: Fraction(0), 2: Fraction(1)},
+    ]
+    assert solves(safety, gens[3], gens) == (True, 2)
+    assert solves(oracles, gens[3], gens) == (True, 4)
+
+
+def test_duplicates_can_cost_more_solves_than_the_oracle():
+    # six copies of one generator make every basis through two of them
+    # singular; the subset search finds the point at its eighth singleton
+    g, f, h = ({0: Fraction(1), 1: Fraction(0), 2: Fraction(0)},
+               {0: Fraction(0), 1: Fraction(1), 2: Fraction(0)},
+               {0: Fraction(0), 1: Fraction(0), 2: Fraction(1)})
+    gens = [g] * 6 + [f, h]
+    assert solves(oracles, h, gens) == (True, 8)
+    assert solves(safety, h, gens) == (True, 21)

@@ -11,7 +11,7 @@ from conftest import joint_from_rows, pivotal_instance, product_space
 import safeprob
 from safeprob.core import CredalSet, OutcomeSpace, Pmf, Rv
 from safeprob.demos import monty_scenario
-from safeprob.errors import NotAPivot, NotFullSupport, UniquenessViolated
+from safeprob.errors import NotAPivot, NotFullSupport, UniquenessViolated, ValidationError
 from safeprob.pivots import (
     PivotSpec,
     canonical_pivot,
@@ -92,7 +92,16 @@ class TestCheckPivot:
             ).stdout
             for seed in ("1", "2")
         }
-        assert messages == {"map undefined at cell ('x', 'p')\n"}
+        assert messages == {"map undefined at cell (x,p)\n"}
+
+    def test_undefined_numeric_cell_is_rendered_as_reports_do(self):
+        space, u, v = product_space(2, 2)
+        spec = PivotSpec("partial", {(ZERO, ZERO): ZERO})
+        credal = CredalSet.from_vertices([Pmf.uniform(space)])
+        assert check_pivot(spec, u, v, credal).failure == "map undefined at cell (0,1)"
+        with pytest.raises(ValidationError) as info:
+            spec.as_rv(u, v)
+        assert str(info.value) == "pivot 'partial' undefined at cell (0,1)"
 
     def test_injective_but_not_simple(self):
         # second conditioning value reaches only one of two pivot values

@@ -8,6 +8,7 @@ field with its type, ``notes``) or the raised exception must agree.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -226,9 +227,11 @@ def _pivot_outcomes(ptilde, u, v, spec, credal, w):
         for wv in w.range():
             notes = tuple(n.replace(f"={wv!r}:", f"={format_value(wv)}:") for n in notes)
         reference = reference[:2] + (notes,)
-    if reference[0] == "raises" and "not injective" in reference[2]:  # values print as reports do
-        text = reference[2]
-        for x in [*u.range(), *v.range(), *spec.mapping.values()]:
+    if reference[0] == "raises" and ("not injective" in reference[2]
+                                     or "undefined at cell" in reference[2]):
+        text = reference[2]  # cells and values print as reports do
+        for x in [*itertools.product(u.range(), v.range()),
+                  *u.range(), *v.range(), *spec.mapping.values()]:
             text = text.replace(repr(x), format_value(x))
         reference = reference[:2] + (text,)
     return mine, reference
