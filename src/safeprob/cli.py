@@ -25,7 +25,7 @@ from .calibration import check_calibrated_full
 from .confidence import coverage_estimate, exponential_mean, normal_location
 from .core import format_value
 from .demos import run_dilation_demo, run_gamble_demo, run_monty_demo
-from .errors import SafeprobError, ValidationError
+from .errors import NotFullSupport, SafeprobError, UniquenessViolated, ValidationError
 from .pivots import PivotSpec, canonical_pivot, check_pivotal_safety
 from .safety import (
     NOTION_NOTATION,
@@ -36,6 +36,7 @@ from .safety import (
     hierarchy_report,
 )
 from .scenario import parse_scenario
+from .updates import partition_check
 
 NOTIONS = tuple(NOTION_QUERIES) + ("calibrated", "pivotal")
 
@@ -64,9 +65,8 @@ def _verdict_json(verdict: Verdict) -> dict:
     return out
 
 
-def _verdict_lines(name: str, verdict: Verdict) -> list[str]:
-    """Text rendering of :func:`_verdict_json`'s dict."""
-    entry = _verdict_json(verdict)
+def _verdict_lines(name: str, entry: dict) -> list[str]:
+    """Text rendering of a :func:`_verdict_json` dict."""
     label = NOTION_NOTATION.get(name, name)
     lines = [f"{name} ({label}): {'HOLDS' if entry['holds'] else 'FAILS'}"]
     body = dict(entry["counterexample"] or {})
@@ -79,19 +79,55 @@ def _verdict_lines(name: str, verdict: Verdict) -> list[str]:
     return lines
 
 
-def _emit(report: dict, text_lines: list[str], as_json: bool) -> None:
+def _scenario_lines(report: dict) -> list[str]:
+    """Text rendering of a ``check``, ``report`` or ``events`` report dict."""
+    source, query = report["input"], report.get("query")
+    lines = [f"input: {source['path']} (sha256:{source['sha256'][:16]})"]
+    if query is None:
+        lines.append(f"observable sets form a partition: {report['is_partition']}")
+    elif report["command"] == "report":
+        lines.append(f"query: report u={query['u']} v={query['v']}")
+    else:
+        lines.append(f"query: notion={query['notion']} u={query['u']} v={query['v']}"
+                     + "".join(f" {key}={query[key]}" for key in ("w", "pivot") if query[key]))
+    for name, entry in report["verdicts"].items():
+        lines += _verdict_lines(name, entry)
+    return lines + [f"warning: {w}" for w in report["warnings"]]
+
+
+def _emit(report: dict, as_json: bool, text_lines: list[str] | None = None) -> None:
+    """Print ``report`` as JSON or as text; the text of a scenario command
+    is rendered from the report itself."""
     if as_json:
         print(json.dumps(report, indent=2))
     else:
-        print("\n".join([f"safeprob {__version__}"] + text_lines))
+        lines = _scenario_lines(report) if text_lines is None else text_lines
+        print("\n".join([f"safeprob {__version__}"] + lines))
 
 
-def _base_report(args, scenario) -> dict:
+def _load(args):
+    """The scenario file of ``check`` or ``report`` with its u, v and w
+    variables (w is None unless ``--w`` is given)."""
+    scenario = parse_scenario(args.file)
+    if scenario.space is None:
+        raise ValidationError("this file holds an event scenario; use the events command")
+    names = (args.u, args.v, getattr(args, "w", None))
+    for rv_name in names:
+        if rv_name is not None and rv_name not in scenario.rvs:
+            raise ValidationError(f"unknown rv {rv_name!r}")
+    return (scenario, *(scenario.rvs.get(name) for name in names))
+
+
+def _report(args, scenario, head: dict, verdicts: dict, warnings=()) -> dict:
+    """The report dict of a scenario command; ``head`` holds its query."""
     return {
         "tool": "safeprob",
         "version": __version__,
         "input": {"path": scenario.path, "sha256": scenario.digest},
         "command": args.command,
+        **head,
+        "verdicts": {name: _verdict_json(v) for name, v in verdicts.items()},
+        "warnings": [*scenario.warnings, *warnings],
     }
 
 
@@ -113,19 +149,7 @@ def _pivot_from_rv(scenario, u_rv, v_rv, name: str) -> PivotSpec:
 
 
 def _cmd_check(args) -> int:
-    scenario = parse_scenario(args.file)
-    if scenario.space is None:
-        raise ValidationError("this file holds an event scenario; use the events command")
-    for rv_name in (args.u, args.v):
-        if rv_name not in scenario.rvs:
-            raise ValidationError(f"unknown rv {rv_name!r}")
-    u_rv, v_rv = scenario.rvs[args.u], scenario.rvs[args.v]
-    w_rv = None
-    if args.w is not None:
-        if args.w not in scenario.rvs:
-            raise ValidationError(f"unknown rv {args.w!r}")
-        w_rv = scenario.rvs[args.w]
-
+    scenario, u_rv, v_rv, w_rv = _load(args)
     if args.notion == "calibrated":
         if w_rv is not None:
             raise ValidationError("--w is not supported with the calibrated notion")
@@ -143,51 +167,26 @@ def _cmd_check(args) -> int:
         query = SafetyQuery(u_rv, left, v_rv, right, stratifier=w_rv)
         verdict = check_safety(query, scenario.pragmatic, scenario.credal)
 
-    report = _base_report(args, scenario)
-    report["query"] = {
-        "notion": args.notion, "u": args.u, "v": args.v,
-        "w": args.w, "pivot": args.pivot,
-    }
-    report["verdicts"] = {args.notion: _verdict_json(verdict)}
-    report["warnings"] = list(scenario.warnings)
-
-    lines = [f"input: {scenario.path} (sha256:{scenario.digest[:16]})",
-             f"query: notion={args.notion} u={args.u} v={args.v}"
-             + (f" w={args.w}" if args.w else "")
-             + (f" pivot={args.pivot}" if args.pivot else "")]
-    lines += _verdict_lines(args.notion, verdict)
-    lines += [f"warning: {w}" for w in scenario.warnings]
-    _emit(report, lines, args.json)
+    head = {"query": {"notion": args.notion, "u": args.u, "v": args.v,
+                      "w": args.w, "pivot": args.pivot}}
+    _emit(_report(args, scenario, head, {args.notion: verdict}), args.json)
     return 0 if verdict.holds else 1
 
 
 def _cmd_report(args) -> int:
-    scenario = parse_scenario(args.file)
-    if scenario.space is None:
-        raise ValidationError("this file holds an event scenario; use the events command")
-    for rv_name in (args.u, args.v):
-        if rv_name not in scenario.rvs:
-            raise ValidationError(f"unknown rv {rv_name!r}")
-    u_rv, v_rv = scenario.rvs[args.u], scenario.rvs[args.v]
-    verdicts = hierarchy_report(u_rv, v_rv, scenario.pragmatic, scenario.credal)
-
-    report = _base_report(args, scenario)
-    report["query"] = {"u": args.u, "v": args.v}
-    report["verdicts"] = {k: _verdict_json(v) for k, v in verdicts.items()}
-    warnings = list(scenario.warnings)
+    scenario, u_rv, v_rv, _ = _load(args)
+    ptilde = scenario.pragmatic
+    verdicts = hierarchy_report(u_rv, v_rv, ptilde, scenario.credal)
+    warnings = []
     if "pivotal" not in verdicts:
+        # the two calls by which hierarchy_report decides to omit the verdict
         try:
-            canonical_pivot(scenario.pragmatic, u_rv, v_rv)
-        except SafeprobError as exc:
+            spec = canonical_pivot(ptilde, u_rv, v_rv)
+            check_pivotal_safety(ptilde, u_rv, v_rv, spec, scenario.credal)
+        except (UniquenessViolated, NotFullSupport) as exc:
             warnings.append(f"pivotal safety not evaluated: {exc}")
-    report["warnings"] = warnings
-
-    lines = [f"input: {scenario.path} (sha256:{scenario.digest[:16]})",
-             f"query: report u={args.u} v={args.v}"]
-    for name, verdict in verdicts.items():
-        lines += _verdict_lines(name, verdict)
-    lines += [f"warning: {w}" for w in warnings]
-    _emit(report, lines, args.json)
+    head = {"query": {"u": args.u, "v": args.v}}
+    _emit(_report(args, scenario, head, verdicts, warnings), args.json)
     return 0
 
 
@@ -195,19 +194,10 @@ def _cmd_events(args) -> int:
     scenario = parse_scenario(args.file)
     if scenario.events is None:
         raise ValidationError("this file does not hold an event scenario")
-    from .updates import partition_check
-
     outcome = partition_check(scenario.events)
     verdict = outcome["verdict"]
-    report = _base_report(args, scenario)
-    report["is_partition"] = outcome["is_partition"]
-    report["verdicts"] = {"valid": _verdict_json(verdict)}
-    report["warnings"] = list(scenario.warnings)
-
-    lines = [f"input: {scenario.path} (sha256:{scenario.digest[:16]})",
-             f"observable sets form a partition: {outcome['is_partition']}"]
-    lines += _verdict_lines("valid", verdict)
-    _emit(report, lines, args.json)
+    head = {"is_partition": outcome["is_partition"]}
+    _emit(_report(args, scenario, head, {"valid": verdict}), args.json)
     return 0 if verdict.holds else 1
 
 
@@ -232,7 +222,7 @@ def _cmd_coverage(args) -> int:
         f"coverage: {result['coverage']:.6f} (stderr {result['stderr']:.6f}, target {target:.6f})",
         f"within 3 standard errors: {within}",
     ]
-    _emit(report, lines, args.json)
+    _emit(report, args.json, lines)
     return 0 if within else 1
 
 
@@ -243,9 +233,10 @@ def _fraction_str(x) -> str:
 def _cmd_demo(args) -> int:
     if args.name == "dilation":
         result = run_dilation_demo()
+        verdicts = {k: _verdict_json(v) for k, v in result["report"].items()}
         lines = [f"dilation scenario, known marginal {result['marginal']}"]
-        for name, verdict in result["report"].items():
-            lines += _verdict_lines(name, verdict)
+        for name, entry in verdicts.items():
+            lines += _verdict_lines(name, entry)
         lines.append(
             "three-valued extension: indicator stays average-safe: "
             f"{result['extension_indicator_holds']}; full mean fails: "
@@ -255,18 +246,16 @@ def _cmd_demo(args) -> int:
         if ce is not None:
             mass = " ".join(f"{z}={w}" for z, w in ce.vertex.weights.items() if w)
             lines.append(f"  witness vertex: {mass}")
-        report = {"tool": "safeprob", "version": __version__, "command": "demo",
-                  "name": "dilation", "ok": result["ok"],
-                  "verdicts": {k: _verdict_json(v) for k, v in result["report"].items()}}
+        extra = {"verdicts": verdicts}
     elif args.name == "monty-hall":
         result = run_monty_demo()
         naive, control = result["naive"], result["control"]
         lines = [
             f"event conditioning: observables overlap, partition={naive['is_partition']}",
         ]
-        lines += _verdict_lines("valid", naive["verdict"])
+        lines += _verdict_lines("valid", _verdict_json(naive["verdict"]))
         lines.append(f"partition control: partition={control['is_partition']}")
-        lines += _verdict_lines("valid", control["verdict"])
+        lines += _verdict_lines("valid", _verdict_json(control["verdict"]))
         lines.append(
             f"fair-coin pragmatic distribution: pivot simple={result['pivot_verdict'].is_simple}, "
             f"pivotally safe={result['pivotal'].holds}"
@@ -279,9 +268,7 @@ def _cmd_demo(args) -> int:
                 f"{kind}: decision-safe={entry['verdict'].holds} "
                 f"believed={believed} actual-per-vertex={actual}"
             )
-        report = {"tool": "safeprob", "version": __version__, "command": "demo",
-                  "name": "monty-hall", "ok": result["ok"],
-                  "pivotal": _verdict_json(result["pivotal"])}
+        extra = {"pivotal": _verdict_json(result["pivotal"])}
     else:
         result = run_gamble_demo()
         lines = [
@@ -290,13 +277,13 @@ def _cmd_demo(args) -> int:
             f"actual expected loss (Monte Carlo): {result['actual_expected_loss_mc']:.6f}",
             f"believed expected loss (Monte Carlo): {result['believed_expected_loss']:.6f}",
         ]
-        report = {"tool": "safeprob", "version": __version__, "command": "demo",
-                  "name": "gamble", "ok": result["ok"],
-                  "actual": result["actual_expected_loss"],
-                  "actual_mc": result["actual_expected_loss_mc"],
-                  "believed": result["believed_expected_loss"]}
+        extra = {"actual": result["actual_expected_loss"],
+                 "actual_mc": result["actual_expected_loss_mc"],
+                 "believed": result["believed_expected_loss"]}
     lines.append(f"demo assertions pass: {result['ok']}")
-    _emit(report, lines, args.json)
+    report = {"tool": "safeprob", "version": __version__, "command": "demo",
+              "name": args.name, "ok": result["ok"], **extra}
+    _emit(report, args.json, lines)
     return 0 if result["ok"] else 1
 
 

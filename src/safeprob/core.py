@@ -16,7 +16,6 @@ ever rounds.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -310,9 +309,7 @@ class Pmf:
         computed once; exact linear sign tests can run on these."""
         cached = getattr(self, "_integers", None)
         if cached is None:
-            x = self.as_tuple()
-            scale = math.lcm(*(c.denominator for c in x))
-            cached = tuple(c.numerator * (scale // c.denominator) for c in x)
+            cached = tuple(integer_row(self.as_tuple()))
             object.__setattr__(self, "_integers", cached)
         return cached
 
@@ -322,9 +319,6 @@ class Pmf:
             (self.weights[z] for z in self.space.atoms if rv.table[z] == value),
             start=Fraction(0),
         )
-
-    def prob_event(self, atoms: Iterable[str]) -> Fraction:
-        return sum((self.weights[z] for z in atoms), start=Fraction(0))
 
     def __eq__(self, other) -> bool:
         return (

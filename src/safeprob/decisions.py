@@ -11,7 +11,6 @@ accepted after an explicit symmetry audit.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +35,6 @@ LOG = "log"
 CUSTOM = "custom_table"
 
 LOG_TOLERANCE = 1e-12
-_SYMMETRY_CAP = 6
 
 
 @dataclass(frozen=True)
@@ -72,25 +70,25 @@ class LossFunction:
 
 
 def _audit_symmetry(table: Mapping) -> None:
+    """Reject a table with a missing entry, or whose multiset of loss
+    columns changes under some permutation of the outcomes.
+
+    The permutations that keep the multiset form a group, and the
+    transposition (0 1) together with the n-cycle generate the symmetric
+    group, so checking those two (none for one outcome, one for two)
+    decides every permutation for any number of outcomes.
+    """
     outcomes = sorted({u for (u, _) in table}, key=value_sort_key)
     actions = sorted({a for (_, a) in table})
     for u in outcomes:
         for a in actions:
             if (u, a) not in table:
                 raise ValidationError(f"custom loss table missing entry {(u, a)!r}")
-    if len(outcomes) > _SYMMETRY_CAP:
-        raise ValidationError(
-            f"symmetry audit supports at most {_SYMMETRY_CAP} outcomes, got {len(outcomes)}"
-        )
-    columns = sorted(
-        tuple(table[(u, a)] for u in outcomes) for a in actions
-    )
-    for perm in itertools.permutations(range(len(outcomes))):
-        permuted = sorted(
-            tuple(table[(outcomes[perm[i]], a)] for i in range(len(outcomes)))
-            for a in actions
-        )
-        if permuted != columns:
+    n = len(outcomes)
+    columns = sorted(tuple(table[(u, a)] for u in outcomes) for a in actions)
+    generators = {(1, 0, *range(2, n)), (*range(1, n), 0)} if n > 1 else ()
+    for perm in generators:
+        if sorted(tuple(col[i] for i in perm) for col in columns) != columns:
             raise ValidationError(
                 "custom loss table is not invariant under outcome permutations"
             )

@@ -51,6 +51,10 @@ from .safety import (
     stratify,
 )
 
+#: Budget of the exhaustive simple-pivot search in :func:`pivot_equivalence`:
+#: spaces with more atoms are not searched (the search is factorial).
+_SEARCH_CAP = 8
+
 
 @dataclass(frozen=True)
 class PivotSpec:
@@ -237,15 +241,13 @@ def canonical_pivot(ptilde: Pmf, u: Rv, v: Rv) -> PivotSpec:
     )
 
 
-def pivot_equivalence(
-    ptilde: Pmf, u: Rv, v: Rv, credal: CredalSet, search_cap: int = 8
-) -> dict:
+def pivot_equivalence(ptilde: Pmf, u: Rv, v: Rv, credal: CredalSet) -> dict:
     """Cross-check the three faces of discrete pivotal safety.
 
     Computes (a) marginal validity of the probability-of-outcome map,
     (b) pivotal safety with that map, and (c) existence of any simple
     pivot achieving pivotal safety, searched exhaustively on spaces of at
-    most ``search_cap`` atoms (beyond the cap (c) inherits (b), which is
+    most ``_SEARCH_CAP`` (8) atoms (beyond the cap (c) inherits (b), which is
     the witness direction). Under the uniqueness hypothesis (no two
     realizable outcomes share a nonzero conditional probability at any
     conditioning value) the three must agree and disagreement raises
@@ -274,7 +276,7 @@ def pivot_equivalence(
     except NotAPivot:
         pivotal_safe = False
 
-    searched = len(ptilde.space.atoms) <= search_cap
+    searched = len(ptilde.space.atoms) <= _SEARCH_CAP
     if searched:
         simple_exists = _search_simple_pivot(ptilde, u, v, credal)
     else:

@@ -18,9 +18,10 @@ observable sets partition the outcomes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .core import (
     CredalSet,
@@ -45,6 +46,11 @@ from .safety import (
 )
 
 
+def _listing(values) -> str:
+    """``values`` rendered in canonical order, comma-separated."""
+    return ", ".join(format_value(x) for x in sorted(values, key=value_sort_key))
+
+
 @dataclass(frozen=True)
 class UpdateRule:
     """Map from conditioner values to distributions over target values."""
@@ -60,68 +66,61 @@ class UpdateRule:
         if missing or extra:
             raise ValidationError(
                 f"rule rows must cover the conditioner range exactly "
-                f"(missing {sorted(missing, key=value_sort_key)}, "
-                f"extra {sorted(extra, key=value_sort_key)})"
+                f"(missing [{_listing(missing)}], extra [{_listing(extra)}])"
             )
         u_range = set(self.target.range())
         filled = {}
         for vv, row in self.rows.items():
             unknown = set(row) - u_range
             if unknown:
-                raise ValidationError(f"row {vv!r} mentions unknown target values {unknown!r}")
+                raise ValidationError(
+                    f"row {format_value(vv)} mentions unknown target values "
+                    f"{{{_listing(unknown)}}}"
+                )
             full = {uu: as_rational(row.get(uu, 0)) for uu in u_range}
             if any(p < 0 for p in full.values()):
-                raise ValidationError(f"row {vv!r} has a negative probability")
+                raise ValidationError(f"row {format_value(vv)} has a negative probability")
             if sum(full.values()) != 1:
-                raise ValidationError(f"row {vv!r} does not sum to exactly 1")
+                raise ValidationError(f"row {format_value(vv)} does not sum to exactly 1")
             filled[vv] = full
         object.__setattr__(self, "rows", filled)
+
+
+def _first_incoherent_cell(rule: UpdateRule, space: OutcomeSpace):
+    """The first (target, conditioner) cell in canonical order that the
+    rule gives mass but no atom realizes, or ``None`` for a coherent rule."""
+    u, v = rule.target, rule.conditioner
+    realizable = {(u.table[z], v.table[z]) for z in space.atoms}
+    for vv in sorted(rule.rows, key=value_sort_key):
+        for uu in sorted(rule.rows[vv], key=value_sort_key):
+            if rule.rows[vv][uu] > 0 and (uu, vv) not in realizable:
+                return (uu, vv)
+    return None
 
 
 def check_logical_coherence(rule: UpdateRule, space: OutcomeSpace) -> bool:
     """Each row puts mass only on target values realizable with its
     conditioning value somewhere in the space."""
-    u, v = rule.target, rule.conditioner
-    realizable = {(u.table[z], v.table[z]) for z in space.atoms}
-    for vv, row in rule.rows.items():
-        for uu, p in row.items():
-            if p > 0 and (uu, vv) not in realizable:
-                return False
-    return True
-
-
-def check_compatibility(rule: UpdateRule, space: OutcomeSpace) -> Optional[Pmf]:
-    """A joint with full conditioner support whose conditionals equal the
-    rule, when one exists.
-
-    The witness spreads mass uniformly over conditioner values and splits
-    each row's mass uniformly over the atoms realizing its cell, which
-    by construction reproduces the rule exactly; an incoherent rule has
-    no witness at all.
-    """
-    if not check_logical_coherence(rule, space):
-        return None
-    u, v = rule.target, rule.conditioner
-    v_values = rule.conditioner.range()
-    cell_atoms: dict = {}
-    for z in space.atoms:
-        cell_atoms.setdefault((u.table[z], v.table[z]), []).append(z)
-    weights = {}
-    share = Fraction(1, len(v_values))
-    for z in space.atoms:
-        cell = (u.table[z], v.table[z])
-        row_mass = rule.rows[v.table[z]][u.table[z]]
-        weights[z] = share * row_mass / len(cell_atoms[cell])
-    return Pmf(space, weights)
+    return _first_incoherent_cell(rule, space) is None
 
 
 def rule_completion(rule: UpdateRule, space: OutcomeSpace) -> Pmf:
-    """Complete a coherent rule to a joint distribution (uniform mass over
-    conditioner values, rows split uniformly across realizing atoms)."""
-    witness = check_compatibility(rule, space)
-    if witness is None:
+    """Complete a coherent rule to a joint with full conditioner support
+    whose conditionals equal the rule.
+
+    The joint spreads mass uniformly over conditioner values and splits
+    each row's mass uniformly over the atoms realizing its cell, which by
+    construction reproduces the rule exactly. An incoherent rule has no
+    completion and raises ValidationError.
+    """
+    if not check_logical_coherence(rule, space):
         raise ValidationError("rule is not logically coherent; no completion exists")
-    return witness
+    u, v = rule.target, rule.conditioner
+    cells = [(u.table[z], v.table[z]) for z in space.atoms]
+    sizes = Counter(cells)
+    share = Fraction(1, len(v.range()))
+    return Pmf(space, {z: share * rule.rows[vv][uu] / sizes[(uu, vv)]
+                       for z, (uu, vv) in zip(space.atoms, cells)})
 
 
 def compatibility_gate(
@@ -136,32 +135,23 @@ def compatibility_gate(
     """
     if u.space != rule.target.space or u.table != rule.target.table:
         raise ValidationError("target must coincide with the rule's target")
-    witness = check_compatibility(rule, space)
-    if witness is None:
-        bad = _first_incoherent_cell(rule, space)
+    bad = _first_incoherent_cell(rule, space)
+    if bad is not None:
         return Verdict(
             holds=False,
             counterexample=Counterexample(v=bad[1], u=bad[0]),
             notes=("incompatible with conditional probability",),
         )
     verdict = check_safety(
-        SafetyQuery(u, LEFT_FULL, rule.conditioner, RIGHT_ANGLE), witness, credal
+        SafetyQuery(u, LEFT_FULL, rule.conditioner, RIGHT_ANGLE),
+        rule_completion(rule, space),
+        credal,
     )
     return Verdict(
         holds=verdict.holds,
         counterexample=verdict.counterexample,
         notes=verdict.notes + ("rule completed to a joint with uniform conditioner mass",),
     )
-
-
-def _first_incoherent_cell(rule: UpdateRule, space: OutcomeSpace):
-    u, v = rule.target, rule.conditioner
-    realizable = {(u.table[z], v.table[z]) for z in space.atoms}
-    for vv in sorted(rule.rows, key=value_sort_key):
-        for uu in sorted(rule.rows[vv], key=value_sort_key):
-            if rule.rows[vv][uu] > 0 and (uu, vv) not in realizable:
-                return (uu, vv)
-    raise AssertionError("called on a coherent rule")
 
 
 @dataclass(frozen=True)
@@ -179,7 +169,7 @@ class EventScenario:
         coerced_prior = {as_value(u): as_rational(p) for u, p in prior.items()}
         unknown = set(coerced_prior) - set(outcomes)
         if unknown:
-            raise ValidationError(f"prior mentions unknown outcomes {unknown!r}")
+            raise ValidationError(f"prior mentions unknown outcomes {{{_listing(unknown)}}}")
         full_prior = {u: coerced_prior.get(u, Fraction(0)) for u in outcomes}
         if any(p < 0 for p in full_prior.values()) or sum(full_prior.values()) != 1:
             raise ValidationError("prior must be a pmf summing to exactly 1")
@@ -189,7 +179,7 @@ class EventScenario:
             if not s:
                 raise ValidationError("observable sets must be non-empty")
             if not s <= set(outcomes):
-                raise ValidationError(f"observable set {raw!r} leaves the base outcomes")
+                raise ValidationError(f"observable set [{_listing(s)}] leaves the base outcomes")
             if s not in sets:
                 sets.append(s)
         if not sets:

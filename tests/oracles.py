@@ -11,7 +11,9 @@ computed by the ``Fraction`` elimination kernel and the full-width basis
 enumerator that predate the integer kernel. ``dist-range`` is decided by
 the subset search that predates the basis-only one: every support of
 size one up to the rank, with the sum-to-one row always present, solved
-on the ``Fraction`` kernel (the last three sections of this module).
+on the ``Fraction`` kernel. A custom loss table's symmetry is audited
+by trying every outcome permutation, as before the two-generator audit
+(the last four sections of this module).
 """
 
 from __future__ import annotations
@@ -873,3 +875,39 @@ def hull_membership(point: Mapping, generators: Sequence[Mapping]) -> bool:
             if status == UNIQUE and all(x >= 0 for x in lam):
                 return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Reference symmetry audit.
+#
+# The audit of ``decisions._audit_symmetry`` before it checked only the two
+# generators of the symmetric group: it tries all n! outcome permutations,
+# so it refuses tables with more than ``_SYMMETRY_CAP`` outcomes. Kept
+# verbatim as the differential oracle in ``tests/test_decisions.py``.
+
+_SYMMETRY_CAP = 6
+
+
+def _audit_symmetry(table: Mapping) -> None:
+    outcomes = sorted({u for (u, _) in table}, key=value_sort_key)
+    actions = sorted({a for (_, a) in table})
+    for u in outcomes:
+        for a in actions:
+            if (u, a) not in table:
+                raise ValidationError(f"custom loss table missing entry {(u, a)!r}")
+    if len(outcomes) > _SYMMETRY_CAP:
+        raise ValidationError(
+            f"symmetry audit supports at most {_SYMMETRY_CAP} outcomes, got {len(outcomes)}"
+        )
+    columns = sorted(
+        tuple(table[(u, a)] for u in outcomes) for a in actions
+    )
+    for perm in itertools.permutations(range(len(outcomes))):
+        permuted = sorted(
+            tuple(table[(outcomes[perm[i]], a)] for i in range(len(outcomes)))
+            for a in actions
+        )
+        if permuted != columns:
+            raise ValidationError(
+                "custom loss table is not invariant under outcome permutations"
+            )

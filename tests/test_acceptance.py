@@ -268,9 +268,7 @@ def test_c4_theorem_equivalence_suites():
                 inst = pivotal_instance(rng, safe=False, max_atoms=6)
             else:
                 inst = mixed_instance(rng, max_atoms=6)
-            out = pivot_equivalence(
-                inst["ptilde"], inst["U"], inst["V"], inst["credal"], search_cap=6
-            )
+            out = pivot_equivalence(inst["ptilde"], inst["U"], inst["V"], inst["credal"])
             outcomes[out["pivotal_safe"]] += 1
             hypothesis_failures += not out["hypothesis_met"]
         assert outcomes[True] >= 50 and outcomes[False] >= 50

@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import pivotal_instance, product_space
 from safeprob.core import CredalSet, Pmf
 from safeprob.decisions import (
@@ -13,6 +16,7 @@ from safeprob.decisions import (
     ZERO_ONE,
     Action,
     LossFunction,
+    _audit_symmetry,
     bayes_act,
     check_decision_safety,
     decision_loss_table,
@@ -98,10 +102,22 @@ class TestLossFunctions:
         with pytest.raises(ValidationError):
             LossFunction(CUSTOM, custom_table=table)
 
-    def test_symmetry_cap(self):
+    def test_no_symmetry_cap(self):
+        # the audit checks two generators, so it takes any number of outcomes
+        for n in (7, 9):
+            outcomes = [D(i) for i in range(n)]
+            table = {(u, f"guess{j}"): int(i != j)
+                     for i, u in enumerate(outcomes) for j in range(n)}
+            loss = LossFunction(CUSTOM, custom_table=table)
+            assert loss.outcomes() == outcomes
+            LossFunction(CUSTOM, custom_table={(u, "a"): 0 for u in outcomes})
+
+    def test_asymmetric_seven_outcome_table_rejected(self):
         outcomes = [D(i) for i in range(7)]
-        table = {(u, "a"): 0 for u in outcomes}
-        with pytest.raises(ValidationError):
+        table = {(u, f"guess{j}"): int(i != j)
+                 for i, u in enumerate(outcomes) for j in range(7)}
+        table[(D(6), "guess0")] = 2
+        with pytest.raises(ValidationError, match="not invariant under outcome permutations"):
             LossFunction(CUSTOM, custom_table=table)
 
     def test_randomized_zero_one_scores_mixtures(self):
@@ -113,6 +129,64 @@ class TestLossFunctions:
         loss = LossFunction(LOG)
         act = Action(mass={D(0): Fraction(1)})
         assert loss_value(loss, D(1), act) == math.inf
+
+
+def _orbit(column: tuple, generators: list) -> set:
+    """Every image of ``column`` under the group the permutations generate."""
+    seen, todo = {column}, [column]
+    while todo:
+        col = todo.pop()
+        for perm in generators:
+            image = tuple(col[i] for i in perm)
+            if image not in seen:
+                seen.add(image)
+                todo.append(image)
+    return seen
+
+
+@st.composite
+def loss_tables(draw):
+    """Union of column orbits under a random subgroup of outcome
+    permutations: the symmetric group (a symmetric table), the cycle or
+    the transposition alone (invariant under that generator only), or a
+    random permutation; then possibly one entry changed or dropped."""
+    n = draw(st.integers(1, 6))
+    transposition = (1, 0, *range(2, n)) if n > 1 else (0,)
+    cycle = (*range(1, n), 0)
+    shuffled = tuple(draw(st.permutations(range(n))))
+    generators = draw(st.sampled_from([
+        [transposition, cycle], [cycle], [transposition], [shuffled], [transposition, shuffled],
+    ]))
+    # few distinct entries keep the orbits, and the oracle's n! passes, short
+    values = draw(st.lists(st.sampled_from([0, 1, Fraction(1, 2), 2, math.inf]),
+                           min_size=1, max_size=3 if n < 6 else 2, unique=True))
+    entries = st.sampled_from(values)
+    columns = []
+    for _ in range(draw(st.integers(1, 2))):
+        base = tuple(draw(st.lists(entries, min_size=n, max_size=n)))
+        columns += sorted(_orbit(base, generators), key=repr) * draw(st.integers(1, 2))
+    table = {(D(i), f"a{j}"): x for j, col in enumerate(columns) for i, x in enumerate(col)}
+    change = draw(st.sampled_from(["none", "none", "entry", "drop"]))
+    key = draw(st.sampled_from(sorted(table, key=repr)))
+    if change == "entry":
+        table[key] = draw(entries)
+    elif change == "drop" and len(table) > 1:
+        del table[key]
+    return table
+
+
+def _audit_outcome(audit, table):
+    try:
+        audit(table)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(loss_tables())
+def test_symmetry_audit_matches_permutation_oracle(table):
+    assert _audit_outcome(_audit_symmetry, table) == _audit_outcome(oracles._audit_symmetry, table)
 
 
 class TestDecisionSafety:

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import joint_from_rows, pivotal_instance, product_space
 import safeprob
+from safeprob import pivots
 from safeprob.core import CredalSet, OutcomeSpace, Pmf, Rv
 from safeprob.demos import monty_scenario
 from safeprob.errors import NotAPivot, NotFullSupport, UniquenessViolated, ValidationError
@@ -249,16 +250,13 @@ class TestPivotEquivalence:
         outcomes = {True: 0, False: 0}
         for _ in range(80):
             inst = pivotal_instance(rng, safe=rng.random() < 0.6)
-            out = pivot_equivalence(
-                inst["ptilde"], inst["U"], inst["V"], inst["credal"], search_cap=6
-            )
+            out = pivot_equivalence(inst["ptilde"], inst["U"], inst["V"], inst["credal"])
             outcomes[out["pivotal_safe"]] += 1
         assert outcomes[True] and outcomes[False]
 
-    def test_search_beyond_cap_inherits_witness_direction(self):
+    def test_search_beyond_cap_inherits_witness_direction(self, monkeypatch):
         rng = random.Random(97)
         inst = pivotal_instance(rng, safe=True)
-        out = pivot_equivalence(
-            inst["ptilde"], inst["U"], inst["V"], inst["credal"], search_cap=0
-        )
+        monkeypatch.setattr(pivots, "_SEARCH_CAP", 0)
+        out = pivot_equivalence(inst["ptilde"], inst["U"], inst["V"], inst["credal"])
         assert out["simple_pivot_exists"] == out["pivotal_safe"]

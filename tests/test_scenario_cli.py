@@ -288,6 +288,89 @@ class TestCli:
         assert first == second
 
 
+class TestReportWarnings:
+    def test_pivotal_omitted_for_lack_of_support_is_warned(self, tmp_path, capsys):
+        # V=1 has no pragmatic mass: the probability-of-outcome pivot is
+        # defined, but pivotal safety needs full conditioner support
+        doc = {
+            "format": 1,
+            "atoms": ["u0v0", "u1v0", "u0v1"],
+            "rvs": {"U": {"u0v0": 0, "u1v0": 1, "u0v1": 0},
+                    "V": {"u0v0": 0, "u1v0": 0, "u0v1": 1}},
+            "credal": {"vertices": [{"u0v0": "1/3", "u1v0": "2/3"},
+                                    {"u0v0": "2/3", "u1v0": "1/3"}]},
+            "pragmatic": {"joint": {"u0v0": "1/3", "u1v0": "2/3"}},
+        }
+        path = str(write(tmp_path, "support.scn", doc))
+        message = "V lacks full support under the pragmatic distribution"
+        code, out = run_cli(capsys, "report", path, "--u", "U", "--v", "V", "--json")
+        report = json.loads(out)
+        assert code == 0 and len(report["verdicts"]) == 7
+        assert "pivotal" not in report["verdicts"]
+        assert report["warnings"] == [f"pivotal safety not evaluated: {message}"]
+        _, out = run_cli(capsys, "report", path, "--u", "U", "--v", "V")
+        assert out.splitlines()[-1] == f"warning: pivotal safety not evaluated: {message}"
+        assert main(["check", path, "--u", "U", "--v", "V", "--notion", "pivotal"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestReadableValueErrors:
+    """Values in update-rule and event errors print through format_value."""
+
+    @pytest.mark.parametrize("rows, message", [
+        ({"0": {"0": "0"}, "1": {"0": "1"}}, "row 0 does not sum to exactly 1"),
+        ({"0": {"0": "-1/2", "1": "3/2"}, "1": {"0": "1"}}, "row 0 has a negative probability"),
+        ({"0": {"7": "1", "9": "0"}, "1": {"0": "1"}},
+         "row 0 mentions unknown target values {7, 9}"),
+        ({"0": {"0": "1"}, "1": {"0": "1"}, "3": {"0": "1"}, "2": {"0": "1"}},
+         "rule rows must cover the conditioner range exactly (missing [], extra [2, 3])"),
+    ])
+    def test_update_rule(self, tmp_path, capsys, rows, message):
+        doc = {
+            "format": 1,
+            "atoms": ["a", "b", "c", "d"],
+            "rvs": {"U": {"a": 0, "b": 1, "c": 0, "d": 1},
+                    "V": {"a": 0, "b": 0, "c": 1, "d": 1}},
+            "credal": {"vertices": [{"a": "1/4", "b": "1/4", "c": "1/4", "d": "1/4"}]},
+            "pragmatic": {"conditional": {"u": "U", "v": "V", "rows": rows}},
+        }
+        path = str(write(tmp_path, "rule.scn", doc))
+        assert main(["check", path, "--u", "U", "--v", "V", "--notion", "valid"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("prior, observables, message", [
+        ({"1": "1/2", "2": "1/2", "5": "0", "4": "0"}, [[1, 2]],
+         "prior mentions unknown outcomes {4, 5}"),
+        ({"1": "1/2", "2": "1/2"}, [[1, 2], [5, 2, 3]],
+         "observable set [2, 3, 5] leaves the base outcomes"),
+    ])
+    def test_event_scenario(self, tmp_path, capsys, prior, observables, message):
+        doc = {"format": 1, "events": {"outcomes": [1, 2, 3], "prior": prior,
+                                       "observables": observables}}
+        assert main(["events", str(write(tmp_path, "ev.scn", doc))]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestCliSnapshot:
+    def test_snapshot_of_one_bundled_file(self, tmp_path):
+        script = Path(__file__).resolve().parent / "cli_snapshot.py"
+        src = str(Path(safeprob.__file__).resolve().parent.parent)
+        out = tmp_path / "snap.json"
+        subprocess.run([sys.executable, str(script), str(out), "--scn", "dilation.scn"],
+                       check=True, env={**os.environ, "PYTHONPATH": src})
+        snap = json.loads(out.read_text(encoding="utf-8"))
+        assert all(isinstance(code, int) and isinstance(stdout, str) and isinstance(stderr, str)
+                   for code, stdout, stderr in snap.values())
+        code, stdout, stderr = snap["check dilation.scn --u U --v V --notion valid"]
+        assert (code, stderr) == (1, "")
+        assert "input: dilation.scn (sha256:" in stdout
+        assert json.loads(snap["report dilation.scn --u U --v V --json"][1])["command"] == "report"
+        for argv in ("demo dilation", "demo monty-hall --json", "events dilation.scn"):
+            assert argv in snap
+        assert snap["check dilation.scn --u NO_SUCH_RV --v NO_SUCH_RV2 --w NO_SUCH_RV3 "
+                    "--notion valid"][2] == "error: unknown rv 'NO_SUCH_RV'\n"
+
+
 class TestDemoNumbersAreComputed:
     def test_dilation_numbers_move_with_marginal(self):
         from safeprob.demos import run_dilation_demo

@@ -19,7 +19,6 @@ from safeprob.updates import (
     EventScenario,
     UpdateRule,
     build_event_scenario,
-    check_compatibility,
     check_logical_coherence,
     compatibility_gate,
     partition_check,
@@ -68,7 +67,7 @@ class TestCoherence:
 class TestCompatibility:
     def test_naive_monty_witness_is_uniform(self):
         space, u, v, rule = monty_space_rule(NAIVE_ROWS)
-        witness = check_compatibility(rule, space)
+        witness = rule_completion(rule, space)
         assert witness == Pmf.uniform(space)
 
     def test_incoherent_rule_has_no_witness(self):
@@ -77,7 +76,8 @@ class TestCompatibility:
             D(3): {D(1): Fraction(1)},
         }
         space, u, v, rule = monty_space_rule(rows)
-        assert check_compatibility(rule, space) is None
+        with pytest.raises(ValidationError, match="no completion exists"):
+            rule_completion(rule, space)
 
     def test_witness_reproduces_rule_exactly(self):
         rng = random.Random(113)
@@ -86,8 +86,7 @@ class TestCompatibility:
             rows = {vv: rational_pmf(rng, u.range(), full_support=False)
                     for vv in v.range()}
             rule = UpdateRule(conditioner=v, target=u, rows=rows)
-            witness = check_compatibility(rule, space)
-            assert witness is not None
+            witness = rule_completion(rule, space)
             assert support(witness, v) == set(v.range())
             table = conditional_table(witness, u, v)
             for vv in v.range():
@@ -100,7 +99,7 @@ class TestCompatibility:
             p = Pmf(space, rational_pmf(rng, space.atoms))
             table = conditional_table(p, u, v)
             rule = UpdateRule(conditioner=v, target=u, rows=dict(table.rows))
-            assert check_compatibility(rule, space) is not None
+            assert conditional_table(rule_completion(rule, space), u, v).rows == table.rows
 
 
 class TestCompatibilityGate:
@@ -117,6 +116,19 @@ class TestCompatibilityGate:
         verdict = compatibility_gate(rule, space, u, impossible)
         assert not verdict.holds
         assert "incompatible" in " ".join(verdict.notes)
+
+    def test_counterexample_is_first_incoherent_cell(self):
+        # two unrealizable cells, (U, V) = (3, 3) and (2, 2); the canonical
+        # order (conditioner value, then target value) names (2, 2)
+        rows = {
+            D(3): {D(3): Fraction(1, 2), D(1): Fraction(1, 2)},
+            D(2): {D(3): Fraction(1, 2), D(2): Fraction(1, 2)},
+        }
+        space, u, v, rule = monty_space_rule(rows)
+        verdict = compatibility_gate(rule, space, u, CredalSet.from_vertices([Pmf.uniform(space)]))
+        assert not verdict.holds
+        assert (verdict.counterexample.v, verdict.counterexample.u) == (D(2), D(2))
+        assert verdict.counterexample.vertex is None
 
     def test_naive_monty_fails_through_safety(self):
         space, u, v, rule = monty_space_rule(NAIVE_ROWS)
