@@ -15,7 +15,7 @@ equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -97,8 +97,8 @@ def check_calibrated_mean(u: Rv, v: Rv, ptilde: Pmf, credal: CredalSet) -> Verdi
     verts = require_unique(ptilde, v, credal)
     mean_at = {val: expectation(condition(ptilde, v, val), u) for val in support(ptilde, v)}
     mean_rv = v.compose(f"mean({u.name}|{v.name})", mean_at.get)
-    residuals = notion_residuals(LEFT_AVERAGE, RIGHT_PLAIN, u, mean_rv, ptilde, cleared=True)
-    ce = first_failure(residuals, verts)
+    residuals = notion_residuals(LEFT_AVERAGE, RIGHT_PLAIN, u, mean_rv, ptilde)
+    ce = first_failure([replace(r, denom=None) for r in residuals], verts)
     return Verdict(holds=ce is None, counterexample=ce)
 
 

@@ -150,6 +150,8 @@ def _pivot_from_rv(scenario, u_rv, v_rv, name: str) -> PivotSpec:
 
 def _cmd_check(args) -> int:
     scenario, u_rv, v_rv, w_rv = _load(args)
+    if args.pivot is not None and args.notion != "pivotal":
+        raise ValidationError("--pivot is only supported with the pivotal notion")
     if args.notion == "calibrated":
         if w_rv is not None:
             raise ValidationError("--w is not supported with the calibrated notion")

@@ -83,7 +83,7 @@ def _audit_symmetry(table: Mapping) -> None:
     for u in outcomes:
         for a in actions:
             if (u, a) not in table:
-                raise ValidationError(f"custom loss table missing entry {(u, a)!r}")
+                raise ValidationError(f"custom loss table missing entry {format_value((u, a))}")
     n = len(outcomes)
     columns = sorted(tuple(table[(u, a)] for u in outcomes) for a in actions)
     generators = {(1, 0, *range(2, n)), (*range(1, n), 0)} if n > 1 else ()
@@ -238,7 +238,7 @@ def decision_loss_table(
     _, policy, believed, losses = _compile_policy(ptilde, u, v, loss)
     actual = Linear(dict(enumerate(losses)))
     return {"policy": policy, "believed": believed,
-            "actual": [actual.at(p.as_tuple(), 1) for p in credal.vertex_list()]}
+            "actual": [actual.at(p.as_tuple()) for p in credal.vertex_list()]}
 
 
 def gamble_demo(theta_bar: float, n: int, samples: int, seed: int) -> dict:

@@ -89,8 +89,8 @@ def _law_residuals(pivot: dict, law: Mapping, cells: Mapping) -> list:
     printed as conditional probabilities given the cell."""
     values = sorted(set(pivot.values()), key=value_sort_key)
     return [
-        equal(Linear({i: 1 for i in idx if pivot[i] == t}), Linear(dict.fromkeys(idx, law[t])),
-              v=c, u=t, denom=Linear(dict.fromkeys(idx, 1)))
+        equal(Linear({i: 1 for i in idx if pivot[i] == t}), Linear.mass(idx, law[t]),
+              v=c, u=t, denom=Linear.mass(idx))
         for c, idx in cells.items() for t in values
     ]
 
@@ -106,48 +106,41 @@ def _law(pivot: dict, x: Sequence) -> dict:
 
 def _check_pivot_on(
     spec: PivotSpec, u: Rv, v: Rv, verts: Sequence[Pmf], stratum: Sequence[int]
-) -> PivotVerdict:
-    atoms = [u.space.atoms[i] for i in stratum]
-    cells = [(u.table[z], v.table[z]) for z in atoms]
-    for cell in cells:
+) -> tuple[PivotVerdict, dict]:
+    """The pivot verdict on ``stratum``'s atoms, and their pivot table so far."""
+    pivot, targets = {}, {}
+    for i in stratum:
+        z = u.space.atoms[i]
+        cell = (u.table[z], v.table[z])
         if cell not in spec.mapping:
-            return PivotVerdict(False, False, f"map undefined at cell {format_value(cell)}")
+            return PivotVerdict(False, False, f"map undefined at cell {format_value(cell)}"), pivot
+        pivot[i] = spec.mapping[cell]
+        targets.setdefault(cell[1], []).append((cell[0], pivot[i]))
 
-    v_values = sorted({v.table[z] for z in atoms}, key=value_sort_key)
     images = {}
-    for vv in v_values:
+    for vv in sorted(targets, key=value_sort_key):
         seen: dict = {}
-        for z in atoms:
-            if v.table[z] != vv:
-                continue
-            uu = u.table[z]
-            pv = spec.mapping[(uu, vv)]
+        for uu, pv in targets[vv]:
             if seen.setdefault(pv, uu) != uu:
                 return PivotVerdict(
                     False, False,
                     f"not injective at conditioning value {format_value(vv)}: targets "
                     f"{format_value(seen[pv])} and {format_value(uu)} both map to "
                     f"{format_value(pv)}",
-                )
+                ), pivot
         images[vv] = set(seen)
 
     if verts:
-        pivot = _pivot_table(spec, u, v, stratum)
         law = _law(pivot, verts[0].as_tuple())
-        if first_failure(_law_residuals(pivot, law, {None: stratum}), verts, stratum) is not None:
+        if first_failure(_law_residuals(pivot, law, {None: stratum}), verts) is not None:
             return PivotVerdict(
                 False, False, "credal members disagree on the pivot distribution"
-            )
+            ), pivot
 
-    overall = {spec.mapping[cell] for cell in cells}
-    simple = all(images[vv] == overall for vv in v_values)
+    overall = set(pivot.values())
+    simple = all(image == overall for image in images.values())
     failure = None if simple else "some conditioning value does not reach every pivot value"
-    return PivotVerdict(True, simple, failure)
-
-
-def _pivot_table(spec: PivotSpec, u: Rv, v: Rv, stratum: Sequence[int]) -> dict:
-    atoms = u.space.atoms
-    return {i: spec.mapping[(u.table[atoms[i]], v.table[atoms[i]])] for i in stratum}
+    return PivotVerdict(True, simple, failure), pivot
 
 
 def check_pivot(spec: PivotSpec, u: Rv, v: Rv, credal: CredalSet) -> PivotVerdict:
@@ -155,7 +148,7 @@ def check_pivot(spec: PivotSpec, u: Rv, v: Rv, credal: CredalSet) -> PivotVerdic
     the target per conditioning value, and credal agreement on the
     induced law. Simple additionally means each per-value map is onto the
     whole pivot range."""
-    return _check_pivot_on(spec, u, v, credal.vertex_list(), range(len(u.space)))
+    return _check_pivot_on(spec, u, v, credal.vertex_list(), range(len(u.space)))[0]
 
 
 def check_pivotal_safety(
@@ -188,14 +181,12 @@ def check_pivotal_safety(
     strata = ([(None, range(len(u.space)), verts)] if w is None
               else stratify(w, w.range(), verts, notes))
     for wv, stratum, kept in strata:
-        pv = _check_pivot_on(spec, u, v, kept, stratum)
+        pv, pivot = _check_pivot_on(spec, u, v, kept, stratum)
         if not pv.is_pivot:
             raise NotAPivot(pv.failure or "pivot requirements not met")
-        pivot = _pivot_table(spec, u, v, stratum)
         overall = _law(pivot, ptilde.as_tuple())
-        inside = set(stratum)
-        cells = {vv: [i for i in idx if i in inside] for vv, idx in v.cells().items()
-                 if not inside.isdisjoint(idx)}
+        # w coarsens v, so each cell of v lies inside the stratum or outside it
+        cells = {vv: idx for vv, idx in v.cells().items() if idx[0] in stratum}
         checks = (
             (_law_residuals(pivot, overall, cells), [ptilde],
              "pragmatic pivot law varies with the conditioner"),
@@ -203,11 +194,11 @@ def check_pivotal_safety(
              "pragmatic pivot law differs from the common credal law"),
         )
         for residuals, vertices, note in checks:
-            ce = first_failure(residuals, vertices, stratum, wv)
+            ce = first_failure(residuals, vertices)
             if ce is not None:
                 notes.append(note)
                 if w is not None:
-                    ce = replace(ce, vertex=condition(ce.vertex, w, wv))
+                    ce = replace(ce, vertex=condition(ce.vertex, w, wv), w=wv)
                 return Verdict(holds=False, counterexample=ce, notes=tuple(notes))
     return Verdict(holds=True, notes=tuple(notes))
 

@@ -31,9 +31,10 @@ check: it tests convex-hull membership of each vertex's target law.
 
 An optional stratifier W turns a query into its per-stratum version: for
 every vertex-supported w the residuals are compiled from the pragmatic
-distribution on W = w and cleared by P(W = w), so they apply to the
-unconditioned vertices; vertices giving w zero mass are skipped for that
-stratum.
+distribution on W = w and multiplied through by P(W = w), so they apply
+to the unconditioned vertices: a counterexample names the unconditioned
+vertex with the values of its conditional on W = w. Vertices giving w
+zero mass are skipped for that stratum.
 
 Everything here is a pure function over immutable inputs, and the
 reported counterexample is always the first failure in (stratum, vertex,
@@ -46,7 +47,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
@@ -179,17 +180,19 @@ def hull_membership(point: Mapping, generators: Sequence[Mapping]) -> bool:
 
 
 class Linear(NamedTuple):
-    """The functional sum_i coeffs[i] * P(atom i) + const * P(stratum).
-
-    ``coeffs`` maps atom indices to coefficients; the constant is carried
-    through the stratum's mass, which is 1 without a stratifier."""
+    """The functional sum_i coeffs[i] * P(atom i) + const, keyed by atom index."""
 
     coeffs: Mapping[int, object]
     const: object = 0
 
-    def at(self, x: Sequence, mass):
-        """Value at the weight vector ``x`` whose stratum has mass ``mass``."""
-        return self.const * mass + sum(c * x[i] for i, c in self.coeffs.items() if x[i])
+    @classmethod
+    def mass(cls, idx: Sequence[int], c=1) -> Linear:
+        """c * P(atoms ``idx``): the coefficient c on each of them."""
+        return cls(dict.fromkeys(idx, c))
+
+    def at(self, x: Sequence):
+        """Value at the weight vector ``x``."""
+        return self.const + sum(c * x[i] for i, c in self.coeffs.items() if x[i])
 
 
 @dataclass(frozen=True)
@@ -197,10 +200,10 @@ class Residual:
     """One condition lo(P) <= lhs(P) <= hi(P), an equality when ``lo is hi``.
 
     ``v`` and ``u`` label its counterexample, which reports the values of
-    ``lhs`` and of the violated bound divided by ``denom`` (by the stratum's
-    mass when None). ``tol`` compares float values within an additive
-    tolerance instead of exactly; ``error`` makes a failure raise
-    ``error(vertex)`` instead of yielding a counterexample."""
+    ``lhs`` and of the violated bound divided by ``denom`` (by 1 when None).
+    ``tol`` compares float values within an additive tolerance instead of
+    exactly; ``error`` makes a failure raise ``error(vertex)`` instead of
+    yielding a counterexample."""
 
     lhs: Linear
     lo: Linear
@@ -220,23 +223,23 @@ def equal(lhs: Linear, rhs: Linear, **labels) -> Residual:
 class HullTest:
     """The one non-linear check (``dist-range``): the target law of a
     vertex on the stratum must lie in the convex hull of ``generators``.
-    ``cells`` maps each target value to its atom indices."""
+    ``cells`` maps each target value to its atom indices on the stratum."""
 
     cells: Mapping[object, list]
     generators: list
 
 
-def _integer_row(plus: Linear, minus: Linear, stratum: Sequence[int], n: int) -> list[int]:
-    """Coefficients of ``plus - minus``, constants spread over the stratum,
+def _integer_row(plus: Linear, minus: Linear, n: int) -> list[int]:
+    """Coefficients of ``plus - minus``, constants spread over all ``n`` atoms,
     scaled by a positive integer so that every entry is an integer."""
-    terms = [*plus.coeffs.items(), *((i, -c) for i, c in minus.coeffs.items())]
     const = plus.const - minus.const
-    if const:
-        terms += [(i, const) for i in stratum]
-    scale = math.lcm(*(c.denominator for _, c in terms))
+    parts = ((1, plus.coeffs.items()), (-1, minus.coeffs.items()),
+             (1, [(i, const) for i in range(n)] if const else ()))
+    scale = math.lcm(*(c.denominator for _, terms in parts for _, c in terms))
     row = [0] * n
-    for i, c in terms:
-        row[i] += c.numerator * (scale // c.denominator)
+    for sign, terms in parts:
+        for i, c in terms:
+            row[i] += sign * c.numerator * (scale // c.denominator)
     return row
 
 
@@ -244,45 +247,34 @@ def _dot(row: list[int], ints: Sequence[int]) -> int:
     return sum(map(operator.mul, row, ints))
 
 
-def first_failure(
-    residuals: Sequence, vertices: Sequence[Pmf], stratum: Optional[Sequence[int]] = None,
-    w: object = None,
-) -> Optional[Counterexample]:
+def first_failure(residuals: Sequence, vertices: Sequence[Pmf]) -> Optional[Counterexample]:
     """The evaluator: the first failing residual, scanning ``vertices`` in
     order and each vertex's residuals in order.
 
-    ``stratum`` lists the atom indices of the stratum W = ``w`` the
-    residuals were compiled for (None: the whole space). Exact residuals
-    are decided on integer-scaled weights; the counterexample's values are
-    computed exactly once a residual fails.
+    Exact residuals are decided on integer-scaled weights; the
+    counterexample's values are computed exactly once a residual fails.
+    Its ``w`` is left for the caller to set.
     """
     if not vertices:
         return None
     n = len(vertices[0].space)
-    atoms = range(n) if stratum is None else stratum
     rows = [
         None if isinstance(r, HullTest) or r.tol is not None
-        else (_integer_row(r.lhs, r.lo, atoms, n),
-              None if r.lo is r.hi else _integer_row(r.hi, r.lhs, atoms, n))
+        else (_integer_row(r.lhs, r.lo, n),
+              None if r.lo is r.hi else _integer_row(r.hi, r.lhs, n))
         for r in residuals
     ]
-
-    def mass_of(x):
-        return Fraction(1) if stratum is None else sum((x[i] for i in stratum), Fraction(0))
-
     for p in vertices:
         x, ints = p.as_tuple(), p.integer_weights()
         for r, row in zip(residuals, rows):
             if isinstance(r, HullTest):
-                mass = mass_of(x)
-                law = {uv: sum((x[i] for i in idx), Fraction(0)) / mass
-                       for uv, idx in r.cells.items()}
-                if not hull_membership(law, r.generators):
-                    return Counterexample(vertex=p, w=w)
+                law = {uv: sum((x[i] for i in idx), Fraction(0)) for uv, idx in r.cells.items()}
+                mass = sum(law.values())
+                if not hull_membership({uv: pr / mass for uv, pr in law.items()}, r.generators):
+                    return Counterexample(vertex=p)
                 continue
             if row is None:
-                mass = mass_of(x)
-                bound = r.lo if abs(r.lhs.at(x, mass) - r.lo.at(x, mass)) > r.tol else None
+                bound = r.lo if abs(r.lhs.at(x) - r.lo.at(x)) > r.tol else None
             elif row[1] is None:
                 bound = r.lo if _dot(row[0], ints) else None
             else:
@@ -291,12 +283,9 @@ def first_failure(
             if bound is not None:
                 if r.error is not None:
                     raise r.error(p)
-                mass = mass_of(x)
-                denom = mass if r.denom is None else r.denom.at(x, mass)
-                return Counterexample(
-                    vertex=p, v=r.v, w=w, u=r.u,
-                    lhs=r.lhs.at(x, mass) / denom, rhs=bound.at(x, mass) / denom,
-                )
+                denom = Fraction(1) if r.denom is None else r.denom.at(x)
+                return Counterexample(vertex=p, v=r.v, u=r.u,
+                                      lhs=r.lhs.at(x) / denom, rhs=bound.at(x) / denom)
     return None
 
 
@@ -332,15 +321,15 @@ def require_unique(ptilde: Pmf, v: Rv, credal: CredalSet) -> tuple[Pmf, ...]:
 
 def notion_residuals(
     left: str, right: str, u: Rv, v: Rv, ptilde: Pmf,
-    stratum: Optional[Sequence[int]] = None, cleared: bool = False,
+    stratum: Optional[Sequence[int]] = None,
 ) -> list:
     """Compile the (left, right) notion for target ``u`` and conditioner
     ``v`` from the pragmatic distribution on ``stratum`` (atom indices;
-    None is the whole space), cleared of the stratum's mass.
+    None is the whole space), multiplied through by the stratum's mass.
 
-    Average-mode values per conditioning value (``sqerr``) print divided by
-    P(V = v) unless ``cleared``. Full-distribution ``dblsquare`` compiles to
-    a single :class:`HullTest`.
+    Counterexample values print divided by the stratum's mass, and
+    average-mode values per conditioning value (``sqerr``) by P(V = v, W = w).
+    Full-distribution ``dblsquare`` compiles to a single :class:`HullTest`.
     """
     names, x = ptilde.space.atoms, ptilde.as_tuple()
     atoms = range(len(names)) if stratum is None else stratum
@@ -383,28 +372,29 @@ def notion_residuals(
     def part(coef, idx):
         return Linear({i: coef[i] for i in idx if coef[i]})
 
+    stratum_mass = None if stratum is None else Linear.mass(stratum)
     if right == RIGHT_PLAIN:
-        per_value = left == LEFT_AVERAGE and not cleared
         return [
-            equal(part(coef, cells[val]), Linear(dict.fromkeys(cells[val], claims[val])),
-                  v=val, u=label,
-                  denom=Linear(dict.fromkeys(cells[val], 1)) if per_value else None)
+            equal(part(coef, cells[val]), Linear.mass(cells[val], claims[val]), v=val, u=label,
+                  denom=Linear.mass(cells[val]) if left == LEFT_AVERAGE else stratum_mass)
             for val in supported for label, coef, claims in components
         ]
     if right == RIGHT_ANGLE:
         return [
             equal(part(coef, atoms),
-                  Linear({i: claims[val] for val in supported for i in cells[val]}), u=label)
+                  Linear({i: claims[val] for val in supported for i in cells[val]}),
+                  u=label, denom=stratum_mass)
             for label, coef, claims in components
         ]
     if right == RIGHT_SQUARE:
         return [
-            equal(part(coef, atoms), Linear({}, claims[val]), v=val, u=label)
+            equal(part(coef, atoms), Linear.mass(atoms, claims[val]),
+                  v=val, u=label, denom=stratum_mass)
             for val in supported for label, coef, claims in components
         ]
     return [  # RIGHT_DBLSQUARE, average: the bracket of the conditional means
-        Residual(part(coef, atoms), Linear({}, min(claims.values())),
-                 Linear({}, max(claims.values())), u=label)
+        Residual(part(coef, atoms), Linear.mass(atoms, min(claims.values())),
+                 Linear.mass(atoms, max(claims.values())), u=label, denom=stratum_mass)
         for label, coef, claims in components
     ]
 
@@ -423,13 +413,12 @@ def check_safety(query: SafetyQuery, ptilde: Pmf, credal: CredalSet) -> Verdict:
     modes = (query.left_mode, query.right_mode)
 
     notes: list[str] = []
-    if w is None:
-        ce = first_failure(notion_residuals(*modes, u, v, ptilde), verts)
-        return Verdict(holds=ce is None, counterexample=ce)
-    for wv, stratum, kept in stratify(w, supported_values(w, verts), verts, notes):
-        ce = first_failure(notion_residuals(*modes, u, v, ptilde, stratum), kept, stratum, wv)
+    strata = ([(None, None, verts)] if w is None
+              else stratify(w, supported_values(w, verts), verts, notes))
+    for wv, stratum, kept in strata:
+        ce = first_failure(notion_residuals(*modes, u, v, ptilde, stratum), kept)
         if ce is not None:
-            return Verdict(holds=False, counterexample=ce, notes=tuple(notes))
+            return Verdict(holds=False, counterexample=replace(ce, w=wv), notes=tuple(notes))
     return Verdict(holds=True, notes=tuple(notes))
 
 

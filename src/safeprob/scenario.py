@@ -57,6 +57,16 @@ def _require(condition: bool, message: str) -> None:
         raise ValidationError(message)
 
 
+def _array(raw, context: str) -> list:
+    _require(isinstance(raw, list), f"{context}: expected an array")
+    return raw
+
+
+def _object(raw, context: str) -> dict:
+    _require(isinstance(raw, dict), f"{context}: expected an object")
+    return raw
+
+
 def _exact_number(raw, context: str) -> Fraction:
     if isinstance(raw, bool) or isinstance(raw, float):
         raise ValidationError(
@@ -107,33 +117,38 @@ def parse_scenario(path) -> ScenarioFile:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply") from exc
     return _build_scenario(doc, str(path), digest)
 
 
 def _build_scenario(doc, path: str, digest: str) -> ScenarioFile:
     _require(isinstance(doc, dict), "top level must be an object")
-    _require(doc.get("format") == FORMAT_VERSION,
+    _require(type(doc.get("format")) is int and doc["format"] == FORMAT_VERSION,
              f"missing or unsupported format version (expected {FORMAT_VERSION})")
 
     if "events" in doc:
-        ev = doc["events"]
-        _require(isinstance(ev, dict), "events: expected an object")
+        ev = _object(doc["events"], "events")
         for key in ("outcomes", "prior", "observables"):
             _require(key in ev, f"events: missing key {key!r}")
-        outcomes = [_value_literal(o, "events.outcomes") for o in ev["outcomes"]]
+        outcomes = [_value_literal(o, "events.outcomes")
+                    for o in _array(ev["outcomes"], "events.outcomes")]
         prior = {
             _value_literal(k, "events.prior"): _exact_number(p, f"events.prior[{k}]")
-            for k, p in ev["prior"].items()
+            for k, p in _object(ev["prior"], "events.prior").items()
         }
         observables = [
-            [_value_literal(o, "events.observables") for o in s] for s in ev["observables"]
+            [_value_literal(o, "events.observables") for o in _array(s, f"events.observables[{i}]")]
+            for i, s in enumerate(_array(ev["observables"], "events.observables"))
         ]
         scenario = EventScenario(outcomes, prior, observables)
         return ScenarioFile(path=path, digest=digest, events=scenario)
 
     for key in ("atoms", "rvs", "credal", "pragmatic"):
         _require(key in doc, f"missing key {key!r}")
-    space = OutcomeSpace(doc["atoms"])
+    atoms = _array(doc["atoms"], "atoms")
+    _require(all(isinstance(z, str) for z in atoms), "atoms: expected an array of strings")
+    space = OutcomeSpace(atoms)
 
     rvs = {}
     _require(isinstance(doc["rvs"], dict), "rvs: expected a name->table map")
@@ -145,23 +160,22 @@ def _build_scenario(doc, path: str, digest: str) -> ScenarioFile:
             parsed[atom] = _value_literal(raw, f"rvs[{name}][{atom}]")
         rvs[name] = Rv(space, name, parsed)
 
-    credal_doc = doc["credal"]
-    _require(isinstance(credal_doc, dict), "credal: expected an object")
+    credal_doc = _object(doc["credal"], "credal")
     if "vertices" in credal_doc:
         vertices = [
             _pmf_map(space, raw, f"credal.vertices[{i}]")
-            for i, raw in enumerate(credal_doc["vertices"])
+            for i, raw in enumerate(_array(credal_doc["vertices"], "credal.vertices"))
         ]
         credal = CredalSet.from_vertices(vertices)
     elif "constraints" in credal_doc:
         constraints = []
-        for i, raw in enumerate(credal_doc["constraints"]):
+        for i, raw in enumerate(_array(credal_doc["constraints"], "credal.constraints")):
             ctx = f"credal.constraints[{i}]"
-            _require(isinstance(raw, dict), f"{ctx}: expected an object")
+            _object(raw, ctx)
             for key in ("coeffs", "rel", "rhs"):
                 _require(key in raw, f"{ctx}: missing key {key!r}")
             coeffs = {}
-            for atom, c in raw["coeffs"].items():
+            for atom, c in _object(raw["coeffs"], f"{ctx}.coeffs").items():
                 _require(atom in space.atoms, f"{ctx}: unknown atom {atom!r}")
                 coeffs[atom] = _exact_number(c, f"{ctx}.coeffs[{atom}]")
             constraints.append(LinearConstraint(coeffs, raw["rel"], _exact_number(raw["rhs"], f"{ctx}.rhs")))
@@ -174,22 +188,22 @@ def _build_scenario(doc, path: str, digest: str) -> ScenarioFile:
         raise ValidationError("credal: needs either 'vertices' or 'constraints'")
 
     warnings: list[str] = []
-    prag_doc = doc["pragmatic"]
-    _require(isinstance(prag_doc, dict), "pragmatic: expected an object")
+    prag_doc = _object(doc["pragmatic"], "pragmatic")
     if "joint" in prag_doc:
         pragmatic = _pmf_map(space, prag_doc["joint"], "pragmatic.joint")
     elif "conditional" in prag_doc:
-        cond = prag_doc["conditional"]
+        cond = _object(prag_doc["conditional"], "pragmatic.conditional")
         for key in ("u", "v", "rows"):
             _require(key in cond, f"pragmatic.conditional: missing key {key!r}")
-        _require(cond["u"] in rvs, f"pragmatic.conditional: unknown rv {cond['u']!r}")
-        _require(cond["v"] in rvs, f"pragmatic.conditional: unknown rv {cond['v']!r}")
+        for key in ("u", "v"):
+            _require(isinstance(cond[key], str) and cond[key] in rvs,
+                     f"pragmatic.conditional: unknown rv {cond[key]!r}")
         target, conditioner = rvs[cond["u"]], rvs[cond["v"]]
         rows = {}
-        for v_lit, row_raw in cond["rows"].items():
+        for v_lit, row_raw in _object(cond["rows"], "pragmatic.conditional.rows").items():
             vv = _value_literal(v_lit, "pragmatic.conditional.rows")
             row = {}
-            for u_lit, p in row_raw.items():
+            for u_lit, p in _object(row_raw, f"pragmatic.conditional.rows[{v_lit}]").items():
                 row[_value_literal(u_lit, "pragmatic.conditional.rows")] = _exact_number(
                     p, f"pragmatic.conditional.rows[{v_lit}][{u_lit}]"
                 )

@@ -7,7 +7,8 @@ The list covers, on every bundled scenario file:
 
 - ``check`` with every notion, every ordered u/v pair, without and with
   each ``--w``, and (for ``pivotal``) each ``--pivot``, plus unknown rv
-  names for ``--u``, ``--v``, ``--w`` and ``--pivot``;
+  names for ``--u``, ``--v``, ``--w`` and ``--pivot``, and ``--pivot``
+  with a notion other than ``pivotal``;
 - ``report`` for every ordered u/v pair, and ``events``;
 
 plus the three ``demo``s and one short ``coverage`` run, each as text
@@ -64,6 +65,7 @@ def scenario_argvs(name: str) -> list[list[str]]:
     argvs.append(["report", name, "--u", UNKNOWN, "--v", v])
     argvs.append(["check", name, "--u", u, "--v", v, "--notion", "pivotal",
                   "--pivot", UNKNOWN])
+    argvs.append(["check", name, "--u", u, "--v", v, "--notion", "valid", "--pivot", rvs[0]])
     return argvs
 
 

@@ -4,6 +4,10 @@ loops it replaced (kept in ``oracles``).
 Every exact notion is decided on random vertex-form instances by both
 implementations; the whole verdict (``holds``, every counterexample
 field with its type, ``notes``) or the raised exception must agree.
+
+One metamorphic property pins the stratified contract on the same
+instances: a check stratified by W reports what the unstratified check
+reports on the instance conditioned on its first failing stratum.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from hypothesis import strategies as st
 
 import oracles
 from safeprob.calibration import check_calibrated_full, check_calibrated_mean
-from safeprob.core import CredalSet, OutcomeSpace, Pmf, Rv, format_value, support
+from safeprob.core import CredalSet, OutcomeSpace, Pmf, Rv, condition, format_value, support
 from safeprob.decisions import BRIER, CUSTOM, LOG, ZERO_ONE, LossFunction, check_decision_safety
 from safeprob.errors import SafeprobError, UniquenessViolated
 from safeprob.pivots import PivotSpec, canonical_pivot, check_pivotal_safety
@@ -30,6 +34,7 @@ from safeprob.safety import (
     RIGHT_SQUARE,
     SafetyQuery,
     check_safety,
+    supported_values,
 )
 
 MODES = [(left, right) for left in (LEFT_FULL, LEFT_AVERAGE)
@@ -146,6 +151,40 @@ def test_safety_modes_stratified(inst):
         query = SafetyQuery(u, left, v, right, stratifier=w)
         assert outcome(check_safety, query, ptilde, credal) == \
             outcome(oracles.check_safety, query, ptilde, credal), (left, right)
+
+
+def _first_failing_stratum(u, v, w, ptilde, credal, left, right):
+    """The first vertex-supported stratum value whose conditioned instance
+    fails the unstratified check, with that check's counterexample."""
+    verts = credal.vertex_list()
+    for wv in supported_values(w, verts):
+        kept = dict.fromkeys(condition(p, w, wv) for p in verts if p.prob(w, wv))
+        verdict = check_safety(SafetyQuery(u, left, v, right), condition(ptilde, w, wv),
+                               CredalSet.from_vertices(kept))
+        if not verdict.holds:
+            return wv, verdict.counterexample
+    return None
+
+
+@given(instances())
+@SETTINGS
+def test_stratified_check_is_the_check_on_each_conditioned_stratum(inst):
+    """The counterexample names the unconditioned vertex, with the values
+    (v, u, lhs, rhs) of its conditional on the stratum."""
+    u, v, w, ptilde, credal = inst
+    for left, right in MODES:
+        try:
+            verdict = check_safety(SafetyQuery(u, left, v, right, stratifier=w), ptilde, credal)
+        except SafeprobError:
+            continue
+        failing = _first_failing_stratum(u, v, w, ptilde, credal, left, right)
+        assert verdict.holds == (failing is None), (left, right)
+        if failing is not None:
+            wv, inner = failing
+            ce = verdict.counterexample
+            assert (ce.w, ce.v, ce.u, _value(ce.lhs), _value(ce.rhs)) == \
+                (wv, inner.v, inner.u, _value(inner.lhs), _value(inner.rhs)), (left, right)
+            assert condition(ce.vertex, w, wv) == inner.vertex, (left, right)
 
 
 @given(instances())

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 import safeprob
 from safeprob import bundled_scenario
-from safeprob.cli import main
+from safeprob.cli import NOTIONS, main
 from safeprob.demos import dilation_scenario, monty_scenario
 from safeprob.errors import ParseError, ValidationError
 from safeprob.scenario import emit_scenario, parse_scenario
@@ -192,6 +193,14 @@ class TestCli:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("notion", [n for n in NOTIONS if n != "pivotal"])
+    def test_pivot_only_with_pivotal(self, capsys, notion):
+        code = main(["check", str(bundled_scenario("dilation.scn")),
+                     "--u", "U", "--v", "V", "--notion", notion, "--pivot", "NOPE"])
+        assert code == 2
+        message = "--pivot is only supported with the pivotal notion"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_unknown_rv_exit_two(self, capsys):
         code = main(["check", str(bundled_scenario("dilation.scn")),
                      "--u", "NOPE", "--v", "V", "--notion", "valid"])
@@ -349,6 +358,78 @@ class TestReadableValueErrors:
                                        "observables": observables}}
         assert main(["events", str(write(tmp_path, "ev.scn", doc))]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+VERTEX_DOC = {
+    "format": 1,
+    "atoms": ["a", "b"],
+    "rvs": {"U": {"a": 0, "b": 1}, "V": {"a": 0, "b": 0}},
+    "credal": {"vertices": [{"a": "1/2", "b": "1/2"}]},
+    "pragmatic": {"joint": {"a": "1/2", "b": "1/2"}},
+}
+EVENT_DOC = {"format": 1, "events": {"outcomes": [1, 2], "prior": {"1": "1/2", "2": "1/2"},
+                                     "observables": [[1], [2]]}}
+CONSTRAINT = {"coeffs": {"a": 1}, "rel": "<=", "rhs": "1/2"}
+CONDITIONAL = {"u": "U", "v": "V", "rows": {"0": {"0": "1/2", "1": "1/2"}}}
+BAD_FORMAT = "missing or unsupported format version (expected 1)"
+
+
+def _with(doc: dict, path: tuple, value) -> dict:
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+class TestWrongJsonTypes:
+    """A field of the wrong JSON type is an input error (exit 2) naming
+    the field, not a crash."""
+
+    @pytest.mark.parametrize("doc, message", [
+        (_with(EVENT_DOC, ("events", "prior"), [["1", "1/2"]]), "events.prior: expected an object"),
+        (_with(EVENT_DOC, ("events", "outcomes"), 12), "events.outcomes: expected an array"),
+        (_with(EVENT_DOC, ("events", "outcomes"), "12"), "events.outcomes: expected an array"),
+        (_with(EVENT_DOC, ("events", "observables"), {"1": 1}),
+         "events.observables: expected an array"),
+        (_with(EVENT_DOC, ("events", "observables", 1), 2),
+         "events.observables[1]: expected an array"),
+        (_with(VERTEX_DOC, ("credal", "vertices"), {"a": "1"}),
+         "credal.vertices: expected an array"),
+        (_with(VERTEX_DOC, ("credal",), {"constraints": 5}),
+         "credal.constraints: expected an array"),
+        (_with(VERTEX_DOC, ("credal",), {"constraints": [{**CONSTRAINT, "coeffs": ["a"]}]}),
+         "credal.constraints[0].coeffs: expected an object"),
+        (_with(VERTEX_DOC, ("pragmatic",), {"conditional": 5}),
+         "pragmatic.conditional: expected an object"),
+        (_with(VERTEX_DOC, ("pragmatic",), {"conditional": {**CONDITIONAL, "rows": []}}),
+         "pragmatic.conditional.rows: expected an object"),
+        (_with(VERTEX_DOC, ("pragmatic",), {"conditional": {**CONDITIONAL, "rows": {"0": 1}}}),
+         "pragmatic.conditional.rows[0]: expected an object"),
+        (_with(VERTEX_DOC, ("pragmatic",), {"conditional": {**CONDITIONAL, "u": ["U"]}}),
+         "pragmatic.conditional: unknown rv ['U']"),
+        (_with(VERTEX_DOC, ("format",), True), BAD_FORMAT),
+        (_with(VERTEX_DOC, ("format",), 1.0), BAD_FORMAT),
+        (_with(VERTEX_DOC, ("atoms",), 2), "atoms: expected an array"),
+        (_with(VERTEX_DOC, ("atoms",), "ab"), "atoms: expected an array"),
+        (_with(VERTEX_DOC, ("atoms",), ["a", ["b"]]), "atoms: expected an array of strings"),
+    ])
+    def test_exit_two_naming_the_field(self, tmp_path, capsys, doc, message):
+        path = str(write(tmp_path, "bad.scn", doc))
+        argv = ["events", path] if "events" in doc else [
+            "check", path, "--u", "U", "--v", "V", "--notion", "valid"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_deep_nesting_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.scn"
+        path.write_text('{"format": 1, "atoms": ' + "[" * 100000 + "]" * 100000 + "}",
+                        encoding="utf-8")
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_scenario(path)
+        assert main(["check", str(path), "--u", "U", "--v", "V", "--notion", "valid"]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
 
 
 class TestCliSnapshot:
