@@ -16,6 +16,7 @@ order.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -289,7 +290,9 @@ def _cmd_demo(args) -> int:
     return 0 if result["ok"] else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then reused."""
     parser = argparse.ArgumentParser(
         prog="safeprob",
         description="Decide safety of a pragmatic distribution relative to a credal set.",

@@ -4,10 +4,10 @@ Outcome spaces, random variables, probability mass functions, credal sets
 (finite vertex lists or constraint polytopes) and conditioning, all in
 exact rational arithmetic. Every object is immutable after construction
 and every operation is a pure function, so concurrent readers are safe.
-Derived views (a pmf's weight tuple and integer weights, a variable's
-range and atom indices per value) are computed on first use and cached
-on the object; they depend on nothing else, so a race only computes the
-same value twice.
+A pmf keeps its weight tuple and integer weights from the pass that
+validates it. A variable's range and atom indices per value are computed
+on first use and cached on the object; they depend on nothing else, so a
+race only computes the same value twice.
 
 Probabilities are `fractions.Fraction` throughout; nothing in this module
 ever rounds.
@@ -19,6 +19,8 @@ import itertools
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Union
 
@@ -39,6 +41,9 @@ Value = Union[NumericValue, str]
 
 DEFAULT_SIZE_LIMIT = 16
 _SIZE_LIMIT_ENV = "SAFEPROB_SIZE_LIMIT"
+
+_ZERO, _MISSING = Fraction(0), object()
+_denominator = attrgetter("denominator")
 
 
 def size_limit() -> int:
@@ -260,20 +265,28 @@ class Pmf:
     weights: Mapping[str, Fraction]
 
     def __init__(self, space: OutcomeSpace, weights: Mapping[str, Fraction]):
-        filled = {}
+        x, named = [], 0
         for atom in space.atoms:
-            w = as_rational(weights.get(atom, 0))
-            if w < 0:
-                raise ValidationError(f"negative weight {w} at atom {atom!r}")
-            filled[atom] = w
-        extra = set(weights) - set(space.atoms)
-        if extra:
+            w = weights.get(atom, _MISSING)
+            if w is _MISSING:
+                w = _ZERO
+            else:
+                w, named = as_rational(w), named + 1
+                if w.numerator < 0:
+                    raise ValidationError(f"negative weight {w} at atom {atom!r}")
+            x.append(w)
+        if named < len(weights):
+            extra = set(weights) - set(space.atoms)
             raise ValidationError(f"weights mention unknown atoms {sorted(extra)}")
-        total = sum(filled.values())
-        if total != 1:
-            raise ValidationError(f"weights sum to {total}, expected exactly 1")
+        # the weights sum to 1 iff their integer row sums to its scale
+        scale = lcm(*map(_denominator, x))
+        ints = tuple(w.numerator * (scale // w.denominator) for w in x)
+        if sum(ints) != scale:
+            raise ValidationError(f"weights sum to {sum(x)}, expected exactly 1")
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "weights", MappingProxyType(filled))
+        object.__setattr__(self, "weights", MappingProxyType(dict(zip(space.atoms, x))))
+        object.__setattr__(self, "_tuple", tuple(x))
+        object.__setattr__(self, "_integers", ints)
 
     @classmethod
     def point_mass(cls, space: OutcomeSpace, atom: str) -> "Pmf":
@@ -297,21 +310,13 @@ class Pmf:
         return self.weights[atom]
 
     def as_tuple(self) -> tuple[Fraction, ...]:
-        """Weights in atom order, computed once."""
-        cached = getattr(self, "_tuple", None)
-        if cached is None:
-            cached = tuple(self.weights[z] for z in self.space.atoms)
-            object.__setattr__(self, "_tuple", cached)
-        return cached
+        """Weights in atom order."""
+        return self._tuple
 
     def integer_weights(self) -> tuple[int, ...]:
-        """Weights in atom order scaled by the lcm of their denominators,
-        computed once; exact linear sign tests can run on these."""
-        cached = getattr(self, "_integers", None)
-        if cached is None:
-            cached = tuple(integer_row(self.as_tuple()))
-            object.__setattr__(self, "_integers", cached)
-        return cached
+        """Weights in atom order scaled by the lcm of their denominators;
+        exact linear sign tests can run on these."""
+        return self._integers
 
     def prob(self, rv: Rv, value) -> Fraction:
         """P(rv = value)."""
@@ -454,14 +459,14 @@ def enumerate_vertices(
             inequalities.append((row_of(c), c.relation))
     m = len(inequalities)
 
-    def holds(row: list[int], relation: str, x: tuple) -> bool:
-        lhs = sum(a * v for a, v in zip(row, x) if a)
-        return lhs <= row[n] if relation == "<=" else lhs >= row[n]
+    def holds(row: list[int], relation: str, key: list[int], scale: int) -> bool:
+        lhs = sum(a * v for a, v in zip(row, key) if a)
+        return lhs <= row[n] * scale if relation == "<=" else lhs >= row[n] * scale
 
     r = matrix_rank([row[:n] for row in eq_rows])
     k = n - r
-    seen: set[tuple[Fraction, ...]] = set()
-    found: list[tuple[Fraction, ...]] = []
+    seen: set[tuple[int, ...]] = set()
+    found: list[tuple[tuple[int, ...], int, list[Fraction]]] = []
     # A basis takes k tight rows among the user inequalities and then the
     # nonnegativity facets; a chosen facet fixes its coordinate to 0, so
     # only the remaining columns enter the system.
@@ -470,21 +475,29 @@ def enumerate_vertices(
         free = [j for j in range(n) if j not in zero]
         rows = eq_rows + [inequalities[i][0] for i in chosen if i < m]
         status, y = solve_linear([[row[j] for j in free] for row in rows], [row[n] for row in rows])
-        if status != UNIQUE or any(v < 0 for v in y):
+        if status != UNIQUE or any(v.numerator < 0 for v in y):
             continue
-        x = [Fraction(0)] * n
-        for j, v in zip(free, y):
-            x[j] = v
-        x = tuple(x)
-        if x in seen:
+        # The candidate scaled to integers identifies it exactly: its
+        # weights sum to 1, so the scale is the sum of the scaled row.
+        key = [0] * n
+        for j, v in zip(free, integer_row(y)):
+            key[j] = v
+        key = tuple(key)
+        if key in seen:
             continue
-        seen.add(x)
-        if all(holds(row, relation, x) for row, relation in inequalities):
-            found.append(x)
+        seen.add(key)
+        scale = sum(key)
+        if all(holds(row, relation, key, scale) for row, relation in inequalities):
+            x = [_ZERO] * n
+            for j, v in zip(free, y):
+                x[j] = v
+            found.append((key, scale, x))
     if not found:
         raise InfeasibleCredalSet("no distribution satisfies the constraints")
-    ordered = sorted(found, reverse=True)
-    return [Pmf(space, dict(zip(space.atoms, x))) for x in ordered]
+    # on one common scale, integer order is the order of the weights
+    common = lcm(*(scale for _, scale, _ in found))
+    found.sort(key=lambda f: [v * (common // f[1]) for v in f[0]], reverse=True)
+    return [Pmf(space, dict(zip(space.atoms, x))) for _, _, x in found]
 
 
 def support(p: Pmf, x: Rv) -> set:

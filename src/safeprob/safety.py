@@ -154,19 +154,22 @@ def hull_membership(point: Mapping, generators: Sequence[Mapping]) -> bool:
     independent; that support extends to a basis, on which the solution
     is unique and still nonnegative.
 
-    Each value row ``[g_1(val), ..., g_m(val) | point(val)]`` is scaled to
-    integers once per call. The sum-to-one row is dropped when the point
-    and every generator sum exactly to 1, since it is then the sum of the
-    value rows and every subsystem keeps its solutions; it is kept
-    whenever some map does not sum to 1.
+    Repeated generators are dropped first, once per call, since a basis
+    through two copies of one generator is singular. Each value row
+    ``[g_1(val), ..., g_m(val) | point(val)]`` is then scaled to integers.
+    The sum-to-one row is dropped when the point and every generator sum
+    exactly to 1, since it is then the sum of the value rows and every
+    subsystem keeps its solutions; it is kept whenever some map does not
+    sum to 1.
     """
     values = sorted(
         {v for v in point} | {v for g in generators for v in g}, key=value_sort_key
     )
-    m = len(generators)
-    if m == 0:
+    if not generators:
         return False
-    cols = [[Fraction(p.get(val, 0)) for val in values] for p in (*generators, point)]
+    cols = [*dict.fromkeys(tuple(Fraction(g.get(val, 0)) for val in values) for g in generators),
+            [Fraction(point.get(val, 0)) for val in values]]
+    m = len(cols) - 1
     rows = [integer_row(row) for row in zip(*cols)]
     if any(sum(col) != 1 for col in cols):
         rows.append([1] * (m + 1))
@@ -203,7 +206,10 @@ class Residual:
     ``lhs`` and of the violated bound divided by ``denom`` (by 1 when None).
     ``tol`` compares float values within an additive tolerance instead of
     exactly; ``error`` makes a failure raise ``error(vertex)`` instead of
-    yielding a counterexample."""
+    yielding a counterexample. ``rows`` holds ``lhs - lo`` and ``hi - lhs``
+    (None for an equality) as integer rows over the atoms, each up to a
+    positive factor, when the compiler has them; :func:`first_failure`
+    scales the functionals itself otherwise."""
 
     lhs: Linear
     lo: Linear
@@ -213,6 +219,7 @@ class Residual:
     denom: Optional[Linear] = None
     tol: Optional[float] = None
     error: Optional[Callable[[Pmf], Exception]] = None
+    rows: Optional[tuple] = None
 
 
 def equal(lhs: Linear, rhs: Linear, **labels) -> Residual:
@@ -260,8 +267,8 @@ def first_failure(residuals: Sequence, vertices: Sequence[Pmf]) -> Optional[Coun
     n = len(vertices[0].space)
     rows = [
         None if isinstance(r, HullTest) or r.tol is not None
-        else (_integer_row(r.lhs, r.lo, n),
-              None if r.lo is r.hi else _integer_row(r.hi, r.lhs, n))
+        else r.rows or (_integer_row(r.lhs, r.lo, n),
+                        None if r.lo is r.hi else _integer_row(r.hi, r.lhs, n))
         for r in residuals
     ]
     for p in vertices:
@@ -330,73 +337,104 @@ def notion_residuals(
     Counterexample values print divided by the stratum's mass, and
     average-mode values per conditioning value (``sqerr``) by P(V = v, W = w).
     Full-distribution ``dblsquare`` compiles to a single :class:`HullTest`.
+    Each residual carries its integer rows, built from the pragmatic
+    distribution's integer weights.
     """
-    names, x = ptilde.space.atoms, ptilde.as_tuple()
-    atoms = range(len(names)) if stratum is None else stratum
+    ints = ptilde.integer_weights()
+    n = len(ints)
+    atoms = range(n) if stratum is None else stratum
     cells = v.cells()
     if stratum is not None:
         inside = set(stratum)
         cells = {val: [i for i in idx if i in inside] for val, idx in cells.items()}
-    supported = [val for val, idx in cells.items() if any(x[i] for i in idx)]
+    # the supported values with their atoms, and their integer masses
+    supported = [(val, idx) for val, idx in cells.items() if any(ints[i] for i in idx)]
+    mass = [sum(ints[i] for i in idx) for _, idx in supported]
 
     # one component per target value (full) or coordinate (average):
-    # (counterexample label, coefficient per atom, pragmatic claim per value)
+    # (counterexample label, coefficient per atom, the same times some
+    # d > 0 as integers, per supported value the sum of those integers
+    # times the integer weights, and per supported value the pragmatic
+    # claim sum / (d * mass))
     components = []
     if left == LEFT_FULL:
         u_range, uk = u.range(), u.codes()
-        rows = {}
-        for val in supported:
-            row = [Fraction(0)] * len(u_range)
-            for i in cells[val]:
-                row[uk[i]] += x[i]
-            total = sum(row)
-            rows[val] = [pr / total for pr in row]
+        per_value = []
+        for _, idx in supported:
+            sums = [0] * len(u_range)
+            for i in idx:
+                sums[uk[i]] += ints[i]
+            per_value.append(sums)
         if right == RIGHT_DBLSQUARE:
             return [HullTest(
                 cells={uv: [i for i in atoms if uk[i] == k] for k, uv in enumerate(u_range)},
-                generators=[dict(zip(u_range, rows[val])) for val in supported],
+                generators=[{uv: Fraction(b, t) for uv, b in zip(u_range, sums)}
+                            for sums, t in zip(per_value, mass)],
             )]
         for k, uv in enumerate(u_range):
-            components.append((uv, [int(j == k) for j in uk],
-                               {val: rows[val][k] for val in supported}))
+            coef = [int(j == k) for j in uk]
+            components.append((uv, coef, coef, 1, [sums[k] for sums in per_value]))
     else:
-        ut = [u.table[z] for z in names]
+        ut = [u.table[z] for z in ptilde.space.atoms]
         for j in range(len(ut[0])):
-            claims = {
-                val: sum((x[i] * ut[i][j] for i in cells[val]), Fraction(0))
-                / sum((x[i] for i in cells[val]), Fraction(0))
-                for val in supported
-            }
-            components.append((None, [t[j] for t in ut], claims))
+            coef = [t[j] for t in ut]
+            d = math.lcm(*(c.denominator for c in coef))
+            icoef = [c.numerator * (d // c.denominator) for c in coef]
+            components.append((None, coef, icoef, d,
+                               [sum(ints[i] * icoef[i] for i in idx) for _, idx in supported]))
+    components = [(label, coef, icoef, sums, [Fraction(b, d * t) for b, t in zip(sums, mass)])
+                  for label, coef, icoef, d, sums in components]
 
     def part(coef, idx):
         return Linear({i: coef[i] for i in idx if coef[i]})
 
+    def row(icoef, t, b, idx) -> list[int]:
+        """``t * icoef - b`` on the atoms ``idx``: for a value's mass t and
+        sum b, d * mass * (coefficient - claim)."""
+        out = [0] * n
+        for i in idx:
+            out[i] = t * icoef[i] - b
+        return out
+
     stratum_mass = None if stratum is None else Linear.mass(stratum)
     if right == RIGHT_PLAIN:
         return [
-            equal(part(coef, cells[val]), Linear.mass(cells[val], claims[val]), v=val, u=label,
-                  denom=Linear.mass(cells[val]) if left == LEFT_AVERAGE else stratum_mass)
-            for val in supported for label, coef, claims in components
+            equal(part(coef, idx), Linear.mass(idx, claims[s]), v=val, u=label,
+                  denom=Linear.mass(idx) if left == LEFT_AVERAGE else stratum_mass,
+                  rows=(row(icoef, mass[s], sums[s], idx), None))
+            for s, (val, idx) in enumerate(supported)
+            for label, coef, icoef, sums, claims in components
         ]
     if right == RIGHT_ANGLE:
-        return [
-            equal(part(coef, atoms),
-                  Linear({i: claims[val] for val in supported for i in cells[val]}),
-                  u=label, denom=stratum_mass)
-            for label, coef, claims in components
-        ]
+        common = math.lcm(*mass)
+        out = []
+        for label, coef, icoef, sums, claims in components:
+            diff = row(icoef, common, 0, atoms)
+            for (_, idx), t, b in zip(supported, mass, sums):
+                b *= common // t
+                for i in idx:
+                    diff[i] -= b
+            out.append(equal(part(coef, atoms),
+                             Linear({i: c for (_, idx), c in zip(supported, claims) for i in idx}),
+                             u=label, denom=stratum_mass, rows=(diff, None)))
+        return out
     if right == RIGHT_SQUARE:
         return [
-            equal(part(coef, atoms), Linear.mass(atoms, claims[val]),
-                  v=val, u=label, denom=stratum_mass)
-            for val in supported for label, coef, claims in components
+            equal(part(coef, atoms), Linear.mass(atoms, claims[s]), v=val, u=label,
+                  denom=stratum_mass, rows=(row(icoef, mass[s], sums[s], atoms), None))
+            for s, (val, _) in enumerate(supported)
+            for label, coef, icoef, sums, claims in components
         ]
-    return [  # RIGHT_DBLSQUARE, average: the bracket of the conditional means
-        Residual(part(coef, atoms), Linear.mass(atoms, min(claims.values())),
-                 Linear.mass(atoms, max(claims.values())), u=label, denom=stratum_mass)
-        for label, coef, claims in components
-    ]
+    out = []  # RIGHT_DBLSQUARE, average: the bracket of the conditional means
+    for label, coef, icoef, sums, claims in components:
+        lo = min(range(len(claims)), key=claims.__getitem__)
+        hi = max(range(len(claims)), key=claims.__getitem__)
+        out.append(Residual(
+            part(coef, atoms), Linear.mass(atoms, claims[lo]), Linear.mass(atoms, claims[hi]),
+            u=label, denom=stratum_mass,
+            rows=(row(icoef, mass[lo], sums[lo], atoms),
+                  row(icoef, -mass[hi], -sums[hi], atoms))))
+    return out
 
 
 def check_safety(query: SafetyQuery, ptilde: Pmf, credal: CredalSet) -> Verdict:

@@ -31,6 +31,7 @@ from .core import (
     Rv,
     as_value,
     format_value,
+    value_sort_key,
 )
 from .errors import InfeasibleCredalSet, ParseError, SafeprobError, ValidationError
 from .updates import EventScenario, UpdateRule, rule_completion
@@ -133,8 +134,16 @@ def _build_scenario(doc, path: str, digest: str) -> ScenarioFile:
             _require(key in ev, f"events: missing key {key!r}")
         outcomes = [_value_literal(o, "events.outcomes")
                     for o in _array(ev["outcomes"], "events.outcomes")]
+        known, rendered = set(outcomes), {format_value(o): o for o in outcomes}
+
+        def prior_key(raw: str):
+            """The outcome a prior key names by its literal, else by its
+            rendering (how a vector outcome such as ``(1,2)`` is named)."""
+            value = _value_literal(raw, "events.prior")
+            return value if value in known else rendered.get(raw, value)
+
         prior = {
-            _value_literal(k, "events.prior"): _exact_number(p, f"events.prior[{k}]")
+            prior_key(k): _exact_number(p, f"events.prior[{k}]")
             for k, p in _object(ev["prior"], "events.prior").items()
         }
         observables = [
@@ -244,7 +253,8 @@ def emit_scenario(scenario: ScenarioFile) -> str:
                 "outcomes": [_emit_value(u) for u in ev.base_outcomes],
                 "prior": {format_value(u): str(p) for u, p in ev.prior.items()},
                 "observables": [
-                    sorted(_emit_value(u) for u in s) for s in ev.observable_sets
+                    [_emit_value(u) for u in sorted(s, key=value_sort_key)]
+                    for s in ev.observable_sets
                 ],
             },
         }

@@ -21,7 +21,14 @@ lives. Usage, from the root of a checkout::
     diff old.json new.json
 
 ``--scn NAME`` (repeatable) limits the scenario invocations to the named
-bundled files. pytest does not collect this module.
+bundled files. ``--compare OLD.json`` also reads an earlier snapshot and
+prints the argv of each invocation whose entry differs from it or is
+only in one of the two, one a line; the exit code is then 1 when any
+does::
+
+    PYTHONPATH=src python tests/cli_snapshot.py new.json --compare old.json
+
+pytest does not collect this module.
 """
 
 from __future__ import annotations
@@ -98,15 +105,28 @@ def write(entries: dict, path: str) -> None:
     Path(path).write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
 
 
+def differing(entries: dict, old: dict) -> list[str]:
+    """Invocations whose entries differ, in ``entries`` order and then
+    those only in ``old``."""
+    return [argv for argv in {**entries, **old} if entries.get(argv) != old.get(argv)]
+
+
 def main_snapshot(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("output")
     parser.add_argument("--scn", action="append", metavar="NAME",
                         help="bundled scenario file to include (default: all)")
+    parser.add_argument("--compare", metavar="OLD.json",
+                        help="list the invocations that differ from this snapshot")
     args = parser.parse_args(argv)
     names = args.scn or sorted(p.name for p in SCENARIO_DIR.glob("*.scn"))
-    write(snapshot(names), args.output)
-    return 0
+    entries = snapshot(names)
+    write(entries, args.output)
+    if args.compare is None:
+        return 0
+    changed = differing(entries, json.loads(Path(args.compare).read_text(encoding="utf-8")))
+    print("\n".join(changed), end="\n" if changed else "")
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mixed_instance, product_space
+from safeprob._linalg import integer_row
 from safeprob.core import (
     CredalSet,
     LinearConstraint,
@@ -55,6 +57,28 @@ class TestPmf:
     def test_equality_ignores_missing_zero_entries(self):
         space = OutcomeSpace(["a", "b"])
         assert Pmf(space, {"a": 1}) == Pmf(space, {"a": 1, "b": 0})
+
+    @pytest.mark.parametrize("weights, message", [
+        ({"a": Fraction(-1, 2), "b": Fraction(3, 2), "z": 0}, "negative weight -1/2 at atom 'a'"),
+        ({"a": Fraction(1, 2), "b": Fraction(2, 3), "z": 0, "y": 1},
+         "weights mention unknown atoms ['y', 'z']"),
+        ({"a": Fraction(1, 2), "b": Fraction(2, 3)}, "weights sum to 7/6, expected exactly 1"),
+        ({}, "weights sum to 0, expected exactly 1"),
+    ])
+    def test_messages(self, weights, message):
+        with pytest.raises(ValidationError) as caught:
+            Pmf(OutcomeSpace(["a", "b"]), weights)
+        assert str(caught.value) == message
+
+    @given(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 12)), min_size=1, max_size=8)
+           .filter(lambda ws: any(w for w, _ in ws)))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_integer_weights_are_the_scaled_row(self, ws):
+        space = OutcomeSpace([f"z{i}" for i in range(len(ws))])
+        p = Pmf.normalized(space, {z: Fraction(w, d) for z, (w, d) in zip(space.atoms, ws)})
+        assert p.integer_weights() == tuple(integer_row(p.as_tuple()))
+        assert p.as_tuple() == tuple(p.weights[z] for z in space.atoms)
+        assert sum(p.integer_weights()) == lcm(*(w.denominator for w in p.as_tuple()))
 
     def test_weights_are_immutable(self):
         space = OutcomeSpace(["a", "b"])

@@ -161,6 +161,17 @@ def test_enumerate_vertices_matches_oracle(polytope):
         _enumerated(oracles.enumerate_vertices, constraints, space)
 
 
+def test_degenerate_vertex_is_listed_once():
+    # (1/2, 1/2, 0) makes three rows tight (both caps and c >= 0) where a
+    # basis takes two, so three bases reach it; it is listed once
+    space = OutcomeSpace(["a", "b", "c"])
+    half = Fraction(1, 2)
+    constraints = [LinearConstraint({"a": 1}, "<=", half), LinearConstraint({"b": 1}, "<=", half)]
+    got = _enumerated(enumerate_vertices, constraints, space)
+    assert got == _enumerated(oracles.enumerate_vertices, constraints, space)
+    assert got == [(half, half, 0), (half, 0, half), (0, half, half), (0, 0, 1)]
+
+
 def _scaled(c: LinearConstraint, k: Fraction) -> LinearConstraint:
     return LinearConstraint({z: k * v for z, v in c.coeffs.items()}, c.relation, k * c.rhs)
 

@@ -4,7 +4,8 @@ A drawn document is parsed, emitted, parsed again and emitted again: the
 two emissions must agree byte for byte and the two parses field by field.
 Documents cover vertex-form and constraint-form credal sets, integer,
 vector and symbol values written in every accepted literal form, joint
-and conditional pragmatic distributions, and event scenarios.
+and conditional pragmatic distributions, and event scenarios with integer,
+symbol and vector outcomes and their mixes.
 """
 
 from __future__ import annotations
@@ -52,7 +53,9 @@ def _value(draw, kind: str):
 
 
 def _key(x) -> str:
-    """A value written as a JSON object key."""
+    """A value written as a JSON object key: a vector as its rendering."""
+    if isinstance(x, tuple):
+        return "(" + ",".join(map(str, x)) + ")"
     return x if isinstance(x, str) else str(x)
 
 
@@ -108,13 +111,20 @@ def checking_docs(draw):
     return doc
 
 
+VECTORS = [(Fraction(1), Fraction(2)), (Fraction(-1, 2), Fraction(3)),
+           (Fraction(0), Fraction(1, 4)), (Fraction(3), Fraction(0))]
+OUTCOME_POOLS = {"int": [Fraction(i) for i in range(1, 6)], "symbol": SYMBOLS, "vector": VECTORS}
+
+
 @st.composite
 def event_docs(draw):
-    kind = draw(st.sampled_from(["int", "symbol", "mixed"]))
-    pool = ([Fraction(i) for i in range(1, 6)] if kind != "symbol" else []) + (
-        SYMBOLS if kind != "int" else [])
+    kinds = draw(st.sampled_from([["int"], ["symbol"], ["vector"], ["int", "symbol"],
+                                  ["vector", "symbol"], ["int", "vector", "symbol"]]))
+    pool = [x for kind in kinds for x in OUTCOME_POOLS[kind]]
     outcomes = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
-    literals = {x: x if isinstance(x, str) else _literal(draw, x) for x in outcomes}
+    literals = {x: x if isinstance(x, str)
+                else [_literal(draw, c) for c in x] if isinstance(x, tuple)
+                else _literal(draw, x) for x in outcomes}
     prior = _pmf(draw, outcomes)
     observables = draw(st.lists(
         st.lists(st.sampled_from(outcomes), min_size=1, max_size=len(outcomes), unique=True),

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_instance, mixed_instance, product_space
+from conftest import STRATEGIES, calibrated_instance, make_instance, mixed_instance, product_space
 from safeprob.core import CredalSet, OutcomeSpace, Pmf, Rv
 from safeprob.demos import (
     dilation_extension_scenario,
@@ -13,6 +15,7 @@ from safeprob.demos import (
 )
 from safeprob.errors import NonNumericTarget, NotEssentiallyUnique
 from safeprob.safety import (
+    HIERARCHY_IMPLICATIONS,
     LEFT_AVERAGE,
     LEFT_FULL,
     NOTION_QUERIES,
@@ -329,6 +332,20 @@ class TestHierarchyImplications:
                     antecedent_seen[ante] += 1
                     assert results[cons], (ante, cons, inst)
         assert all(count > 0 for count in antecedent_seen.values())
+
+    @given(st.sampled_from([*STRATEGIES, "calibrated"]), st.integers(2, 3), st.integers(2, 3),
+           st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_report_never_violates_an_arrow(self, strategy, n_u, n_v, seed):
+        rng, dims = random.Random(seed), (n_u, n_v)
+        inst = (calibrated_instance(rng, dims=dims) if strategy == "calibrated"
+                else make_instance(rng, strategy, dims=dims))
+        report = hierarchy_report(inst["U"], inst["V"], inst["ptilde"], inst["credal"])
+        for name, verdict in report.items():
+            assert not [note for note in verdict.notes if "internal-error" in note], name
+        for ante, cons in HIERARCHY_IMPLICATIONS:
+            if ante in report and report[ante].holds:
+                assert report[cons].holds, (ante, cons)
 
 
 class TestMontyPivotBias:

@@ -297,6 +297,75 @@ class TestCli:
         assert first == second
 
 
+class TestParserReuse:
+    """``main`` builds its argument parser once per process; reusing it
+    changes no output."""
+
+    SRC = str(Path(safeprob.__file__).resolve().parent.parent)
+
+    def test_import_builds_no_parser(self):
+        script = ("import argparse\n"
+                  "built = []\n"
+                  "init = argparse.ArgumentParser.__init__\n"
+                  "def counted(self, *args, **kwargs):\n"
+                  "    built.append(kwargs.get('prog'))\n"
+                  "    init(self, *args, **kwargs)\n"
+                  "argparse.ArgumentParser.__init__ = counted\n"
+                  "import safeprob.cli\n"
+                  "print(built)\n")
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              check=True, env={**os.environ, "PYTHONPATH": self.SRC})
+        assert done.stdout == "[]\n"
+
+    def test_one_process_prints_what_fresh_interpreters_print(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
+        path = str(bundled_scenario("dilation.scn"))
+        argvs = [["check", path, "--u", "U"],
+                 ["check", path, "--u", "U", "--v", "V", "--notion", "valid"],
+                 ["--version"],
+                 ["report", path, "--u", "U", "--v", "V", "--json"]]
+        for argv in argvs:
+            code = main(argv)
+            got = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "safeprob.cli", *argv],
+                                   capture_output=True, text=True,
+                                   env={**os.environ, "PYTHONPATH": self.SRC, "COLUMNS": "80"})
+            assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert [main(argv) for argv in argvs] == [2, 1, 0, 0]
+
+
+class TestVectorOutcomes:
+    """Event outcomes may be numeric vectors, named in the prior by their
+    rendering."""
+
+    DOC = {"format": 1, "events": {"outcomes": [[1, 2], [3, 4]],
+                                   "prior": {"(1,2)": "1/2", "(3,4)": "1/2"},
+                                   "observables": [[[1, 2]], [[3, 4]]]}}
+
+    def test_prior_names_vector_outcomes(self, tmp_path, capsys):
+        code, out = run_cli(capsys, "events", str(write(tmp_path, "ev.scn", self.DOC)), "--json")
+        assert code == 0
+        assert json.loads(out)["is_partition"] is True
+        parsed = parse_scenario(write(tmp_path, "ev.scn", self.DOC))
+        assert parsed.events.prior == {(1, 2): Fraction(1, 2), (3, 4): Fraction(1, 2)}
+
+    def test_unknown_rendering_still_rejected(self, tmp_path, capsys):
+        doc = copy.deepcopy(self.DOC)
+        doc["events"]["prior"] = {"(1,2)": "1/2", "(5,6)": "1/2"}
+        assert main(["events", str(write(tmp_path, "ev.scn", doc))]) == 2
+        assert capsys.readouterr().err == "error: prior mentions unknown outcomes {(5,6)}\n"
+
+    def test_mixed_vector_and_symbol_sets_emit(self, tmp_path):
+        doc = {"format": 1, "events": {"outcomes": [[1, 2], "a"],
+                                       "prior": {"(1,2)": "1/2", "a": "1/2"},
+                                       "observables": [["a", [1, 2]]]}}
+        parsed = parse_scenario(write(tmp_path, "ev.scn", doc))
+        emitted = emit_scenario(parsed)
+        assert json.loads(emitted)["events"]["observables"] == [[["1", "2"], "a"]]
+        again = parse_scenario(write(tmp_path, "again.scn", json.loads(emitted)))
+        assert again.events == parsed.events
+
+
 class TestReportWarnings:
     def test_pivotal_omitted_for_lack_of_support_is_warned(self, tmp_path, capsys):
         # V=1 has no pragmatic mass: the probability-of-outcome pivot is
@@ -450,6 +519,29 @@ class TestCliSnapshot:
             assert argv in snap
         assert snap["check dilation.scn --u NO_SUCH_RV --v NO_SUCH_RV2 --w NO_SUCH_RV3 "
                     "--notion valid"][2] == "error: unknown rv 'NO_SUCH_RV'\n"
+
+    def test_compare_lists_the_invocations_that_differ(self, tmp_path):
+        script = Path(__file__).resolve().parent / "cli_snapshot.py"
+        env = {**os.environ, "PYTHONPATH": str(Path(safeprob.__file__).resolve().parent.parent)}
+
+        def snapshot(out, *extra):
+            return subprocess.run([sys.executable, str(script), str(out), "--scn",
+                                   "partition-events.scn", *extra],
+                                  capture_output=True, text=True, env=env)
+
+        old = tmp_path / "old.json"
+        assert snapshot(old).returncode == 0
+        same = snapshot(tmp_path / "same.json", "--compare", str(old))
+        assert (same.returncode, same.stdout) == (0, "")
+        entries = json.loads(old.read_text(encoding="utf-8"))
+        entries["events partition-events.scn"][1] += "changed"
+        del entries["demo gamble"]
+        entries["demo nothing"] = [0, "", ""]
+        old.write_text(json.dumps(entries), encoding="utf-8")
+        differ = snapshot(tmp_path / "new.json", "--compare", str(old))
+        assert differ.returncode == 1
+        assert differ.stdout.splitlines() == ["events partition-events.scn", "demo gamble",
+                                              "demo nothing"]
 
 
 class TestDemoNumbersAreComputed:
