@@ -1,17 +1,19 @@
-"""Exact Gaussian elimination over the rationals, run on integers.
+"""Exact Gauss-Jordan elimination on integers, fraction-free.
 
-Small dense systems only. Entries may be ``int`` or ``fractions.Fraction``.
-Each row is scaled to integers once, by the lcm of its denominators, and
-eliminated without division: an updated row ``d*row_i - f*row_r`` is
-divided by the gcd of its entries, which keeps the integers small. A
-solution becomes rational only at the end, as ``Fraction(rhs, pivot)``.
-Nothing rounds and nothing is compared with a tolerance.
+Small dense systems only. ``solve_linear`` takes integer rows;
+``matrix_rank`` scales ``Fraction`` rows to integers first.
+Following Bareiss (1968), with pivot ``d`` in row ``r`` and ``prev`` the
+pivot used before it (1 at first), every other row, also one with a 0 in
+the pivot column, becomes ``(d*row_i - row_i[c]*row_r) // prev``: an
+exact division, since every entry is then a minor of the input. Each
+pivot row ends with the last pivot on its diagonal, so a unique solution
+is integer numerators over that one denominator. Nothing rounds and
+nothing is compared with a tolerance.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import attrgetter
 
 UNIQUE = "unique"
@@ -29,12 +31,13 @@ def integer_row(row) -> list[int]:
     return [v.numerator * (scale // v.denominator) for v in row]
 
 
-def _rref(rows: list[list[int]], ncols: int) -> list[int]:
+def _rref(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
     """Reduce the integer ``rows`` in place over their first ``ncols``
     columns until each pivot column is zero outside its pivot row;
-    returns the pivot columns."""
+    returns the pivot columns and the last pivot (1 when there is none)."""
     nrows = len(rows)
     pivot_cols: list[int] = []
+    prev = 1
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -45,37 +48,43 @@ def _rref(rows: list[list[int]], ncols: int) -> list[int]:
         rows[r], rows[pivot] = rows[pivot], rows[r]
         prow = rows[r]
         d = prow[c]
-        for i in range(nrows):
-            f = rows[i][c]
-            if i != r and f:
-                row = [d * vi - f * vr for vi, vr in zip(rows[i], prow)]
-                g = gcd(*row)
-                rows[i] = [v // g for v in row] if g > 1 else row
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                if f:
+                    rows[i] = [(d * vi - f * vr) // prev for vi, vr in zip(row, prow)]
+                elif d != prev:
+                    rows[i] = [d * vi // prev for vi in row]
         pivot_cols.append(c)
+        prev = d
         r += 1
-    return pivot_cols
+    return pivot_cols, prev
 
 
 def solve_linear(
-    a: list[list[Fraction]], b: list[Fraction]
-) -> tuple[str, tuple[Fraction, ...] | None]:
-    """Solve ``a @ x = b`` exactly.
+    a: list[list[int]], b: list[int]
+) -> tuple[str, list[int] | None, int | None]:
+    """Solve ``a @ x = b`` exactly, for integer ``a`` and ``b``.
 
-    Returns ``(status, x)`` where status is one of UNIQUE, INCONSISTENT or
-    UNDERDETERMINED; ``x`` is the solution tuple only when unique. The
-    system may be rectangular.
+    Returns ``(status, nums, den)`` where status is one of UNIQUE,
+    INCONSISTENT or UNDERDETERMINED. Only when it is unique, ``nums`` and
+    ``den > 0`` are integers with ``x_i = nums[i] / den``; otherwise both
+    are None. The system may be rectangular.
     """
     ncols = len(a[0]) if a else 0
-    aug = [integer_row([*row, b[i]]) for i, row in enumerate(a)]
-    pivot_cols = _rref(aug, ncols)
+    aug = [[*row, v] for row, v in zip(a, b)]
+    pivot_cols, den = _rref(aug, ncols)
     if any(row[ncols] for row in aug[len(pivot_cols):]):
-        return INCONSISTENT, None
+        return INCONSISTENT, None, None
     if len(pivot_cols) < ncols:
-        return UNDERDETERMINED, None
-    # every column is a pivot, so row i holds x_i = rhs / pivot
-    return UNIQUE, tuple(Fraction(row[ncols], row[i]) for i, row in enumerate(aug[:ncols]))
+        return UNDERDETERMINED, None, None
+    # every column is a pivot, so row i holds den * x_i in its last entry
+    nums = [row[ncols] for row in aug[:ncols]]
+    if den < 0:
+        return UNIQUE, [-v for v in nums], -den
+    return UNIQUE, nums, den
 
 
-def matrix_rank(a: list[list[Fraction]]) -> int:
+def matrix_rank(a: list[list]) -> int:
     """Rank of a rational matrix."""
-    return len(_rref([integer_row(row) for row in a], len(a[0]) if a else 0))
+    return len(_rref([integer_row(row) for row in a], len(a[0]) if a else 0)[0])

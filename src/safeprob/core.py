@@ -19,7 +19,7 @@ import itertools
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Union
@@ -474,30 +474,30 @@ def enumerate_vertices(
         zero = {i - m for i in chosen if i >= m}
         free = [j for j in range(n) if j not in zero]
         rows = eq_rows + [inequalities[i][0] for i in chosen if i < m]
-        status, y = solve_linear([[row[j] for j in free] for row in rows], [row[n] for row in rows])
-        if status != UNIQUE or any(v.numerator < 0 for v in y):
+        status, y, den = solve_linear([[row[j] for j in free] for row in rows],
+                                      [row[n] for row in rows])
+        if status != UNIQUE or any(v < 0 for v in y):
             continue
-        # The candidate scaled to integers identifies it exactly: its
-        # weights sum to 1, so the scale is the sum of the scaled row.
+        # The candidate's numerators over their gcd identify it exactly,
+        # since its weights sum to 1; den // g is the key's sum, its scale.
+        g = gcd(*y)
         key = [0] * n
-        for j, v in zip(free, integer_row(y)):
-            key[j] = v
+        for j, v in zip(free, y):
+            key[j] = v // g
         key = tuple(key)
         if key in seen:
             continue
         seen.add(key)
-        scale = sum(key)
+        scale = den // g
         if all(holds(row, relation, key, scale) for row, relation in inequalities):
-            x = [_ZERO] * n
-            for j, v in zip(free, y):
-                x[j] = v
-            found.append((key, scale, x))
+            found.append((key, scale))
     if not found:
         raise InfeasibleCredalSet("no distribution satisfies the constraints")
     # on one common scale, integer order is the order of the weights
-    common = lcm(*(scale for _, scale, _ in found))
+    common = lcm(*(scale for _, scale in found))
     found.sort(key=lambda f: [v * (common // f[1]) for v in f[0]], reverse=True)
-    return [Pmf(space, dict(zip(space.atoms, x))) for _, _, x in found]
+    return [Pmf(space, {z: Fraction(v, scale) if v else _ZERO for z, v in zip(space.atoms, key)})
+            for key, scale in found]
 
 
 def support(p: Pmf, x: Rv) -> set:

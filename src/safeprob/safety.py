@@ -176,7 +176,7 @@ def hull_membership(point: Mapping, generators: Sequence[Mapping]) -> bool:
     rank = matrix_rank([row[:m] for row in rows])
     b = [row[m] for row in rows]
     for basis in itertools.combinations(range(m), rank):
-        status, lam = solve_linear([[row[c] for c in basis] for row in rows], b)
+        status, lam, _ = solve_linear([[row[c] for c in basis] for row in rows], b)
         if status == UNIQUE and all(x >= 0 for x in lam):
             return True
     return False

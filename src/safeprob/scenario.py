@@ -134,7 +134,11 @@ def _build_scenario(doc, path: str, digest: str) -> ScenarioFile:
             _require(key in ev, f"events: missing key {key!r}")
         outcomes = [_value_literal(o, "events.outcomes")
                     for o in _array(ev["outcomes"], "events.outcomes")]
-        known, rendered = set(outcomes), {format_value(o): o for o in outcomes}
+        known, rendered = set(outcomes), {}
+        for o in outcomes:
+            name = format_value(o)
+            _require(rendered.setdefault(name, o) == o,
+                     f"events.outcomes: two distinct outcomes render as {name}")
 
         def prior_key(raw: str):
             """The outcome a prior key names by its literal, else by its

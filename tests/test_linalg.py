@@ -1,24 +1,33 @@
 """Differential and metamorphic suite for exact credal geometry.
 
-The integer elimination kernel (``_linalg``) and the basis enumerator
-(``core.enumerate_vertices``) are compared against the ``Fraction``
-kernel and the full-width enumerator they replaced (kept in
-``oracles``): the same ``(status, x)`` and rank on random rectangular
-systems, the same vertex list in the same order, and the same error on
-random constraint polytopes. The metamorphic tests check invariances the
-vertex set must have whatever computes it.
+The fraction-free elimination kernel (``_linalg``) and the basis
+enumerator (``core.enumerate_vertices``) are compared against the
+``Fraction`` kernel and the full-width enumerator they replaced (kept in
+``oracles``): on random rectangular systems, with each augmented row
+``[a_i | b_i]`` scaled to integers, the same status and rank, and a
+unique solution whose integer numerators over the positive common
+denominator are the oracle's ``x``; on random constraint polytopes, the
+same vertex list in the same order, the same error, and one solve per
+basis. Fixed cases pin the fraction-free invariants: every reduced pivot
+row is the last pivot times the oracle's reduced row, also across a
+column without a pivot and for rows with a 0 in the pivot column, and
+the denominator is made positive. The metamorphic tests check
+invariances the vertex set must have whatever computes it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from safeprob._linalg import INCONSISTENT, UNDERDETERMINED, UNIQUE, matrix_rank, solve_linear
+from safeprob import core
+from safeprob._linalg import (INCONSISTENT, UNDERDETERMINED, UNIQUE, _rref, integer_row,
+                              matrix_rank, solve_linear)
 from safeprob.core import LinearConstraint, OutcomeSpace, enumerate_vertices
 from safeprob.errors import SafeprobError
 
@@ -70,14 +79,23 @@ def systems(draw):
     return a, b
 
 
+def _solved(a: list, b: list) -> tuple:
+    """``solve_linear`` on ``a @ x = b`` with each augmented row scaled to
+    integers, as ``(status, x)`` with ``x`` rational or None."""
+    aug = [integer_row([*row, v]) for row, v in zip(a, b)]
+    status, nums, den = solve_linear([row[:-1] for row in aug], [row[-1] for row in aug])
+    if status != UNIQUE:
+        assert nums is None and den is None
+        return status, None
+    assert type(den) is int and den > 0 and all(type(v) is int for v in nums)
+    return status, tuple(Fraction(v, den) for v in nums)
+
+
 @given(systems())
 @SETTINGS
 def test_solve_linear_matches_oracle(system):
     a, b = system
-    got = solve_linear(a, b)
-    assert got == oracles.solve_linear(a, b)
-    if got[1] is not None:
-        assert all(type(x) is Fraction for x in got[1])
+    assert _solved(a, b) == oracles.solve_linear(a, b)
 
 
 @given(systems())
@@ -98,9 +116,76 @@ def test_matrix_rank_matches_oracle(system):
     ([[0, 0]], [1], (INCONSISTENT, None)),
     ([[1], [2], [3]], [1, 2, 3], (UNIQUE, (Fraction(1),))),
     ([], [], (UNIQUE, ())),
+    # denominators up to 10**6 in every row
+    ([[Fraction(3, 999_983), Fraction(-1, 10**6)], [Fraction(7, 10**6), 1]],
+     [Fraction(1, 999_979), Fraction(2, 3)],
+     (UNIQUE, (Fraction(4999873000714000000, 8999831999202007497),
+               Fraction(1999951000119000000, 2999943999734002499)))),
+    ([[Fraction(1, 10**6), 0, 1], [0, Fraction(1, 999_999), 1], [1, 1, Fraction(1, 10**6)]],
+     [1, 2, 3],
+     (UNIQUE, (Fraction(-999996000001000000, 1999998999999), Fraction(1000002999998, 2000001),
+               Fraction(2999995000000, 1999998999999)))),
 ])
 def test_solve_linear_cases(a, b, expected):
-    assert solve_linear(a, b) == expected == oracles.solve_linear(a, b)
+    assert _solved(a, b) == expected == oracles.solve_linear(a, b)
+
+
+def _reduced(rows: list) -> tuple[list, list, int]:
+    """``_rref`` on copies of the integer ``rows``: the pivot columns, the
+    reduced rows and the last pivot."""
+    rows = [list(row) for row in rows]
+    pivot_cols, den = _rref(rows, len(rows[0]) - 1)
+    return pivot_cols, rows, den
+
+
+@pytest.mark.parametrize("rows, pivot_cols, reduced, den", [
+    # column 1 has no pivot: the pivot of column 2 still divides by 2,
+    # the last pivot used, not by 1
+    ([[2, 1, 1, 1], [4, 2, 5, 3]], [0, 2], [[6, 3, 0, 2], [0, 0, 6, 2]], 6),
+    # rows with a 0 in the pivot column are scaled by d / prev as well
+    ([[2, 0, 4], [0, 3, 6]], [0, 1], [[6, 0, 12], [0, 6, 12]], 6),
+    ([[0, 2, 0, 2], [3, 0, 0, 3], [0, 0, 5, 5]], [0, 1, 2],
+     [[30, 0, 0, 30], [0, 30, 0, 30], [0, 0, 30, 30]], 30),
+    # a row below the rank keeps its right-hand side, divided exactly
+    ([[1, 2, 3], [2, 4, 7], [1, 1, 1]], [0, 1], [[-1, 0, 1], [0, -1, -2], [0, 0, -1]], -1),
+])
+def test_rref_pivot_rows_are_the_last_pivot_times_the_reduced_rows(rows, pivot_cols, reduced, den):
+    assert _reduced(rows) == (pivot_cols, reduced, den)
+    oracle_rows = [list(map(Fraction, row)) for row in rows]
+    oracles._rref(oracle_rows, len(rows[0]) - 1)
+    for got, want in zip(reduced[:len(pivot_cols)], oracle_rows):
+        assert got == [den * v for v in want]
+
+
+@given(systems())
+@SETTINGS
+def test_rref_entries_are_exact_multiples_of_the_oracle(system):
+    a, b = system
+    rows = [integer_row([*row, v]) for row, v in zip(a, b)]
+    if not rows:
+        return
+    oracle_rows = [list(map(Fraction, row)) for row in rows]
+    oracle_cols = oracles._rref(oracle_rows, len(rows[0]) - 1)
+    pivot_cols, reduced, den = _reduced(rows)
+    assert pivot_cols == oracle_cols
+    assert all(reduced[i][c] == den for i, c in enumerate(pivot_cols))
+    for got, want in zip(reduced, oracle_rows[:len(pivot_cols)]):
+        assert got == [den * v for v in want]
+
+
+@pytest.mark.parametrize("a, b, expected", [
+    ([[1, 1], [1, -1]], [3, 1], (UNIQUE, [4, 2], 2)),  # last pivot -2
+    ([[-1]], [2], (UNIQUE, [-2], 1)),  # last pivot -1
+    ([[2, 0], [0, 3]], [4, 6], (UNIQUE, [12, 12], 6)),
+    ([[1, 0], [0, 1], [1, 1]], [1, 1, 3], (INCONSISTENT, None, None)),
+    ([[1, 0], [0, 1], [1, 1], [2, 0]], [1, 1, 2, 2], (UNIQUE, [1, 1], 1)),
+    ([[0, 0], [0, 1], [0, 2]], [0, 1, 2], (UNDERDETERMINED, None, None)),
+    ([[1, 2, 3]], [1], (UNDERDETERMINED, None, None)),
+    ([[1, 2, 3], [2, 4, 6]], [1, 3], (INCONSISTENT, None, None)),
+    ([[10**6, 999_999], [1, 1]], [500_000, 1], (UNIQUE, [-499_999, 500_000], 1)),
+])
+def test_solve_linear_raw(a, b, expected):
+    assert solve_linear(a, b) == expected
 
 
 def _enumerated(enumerate_fn, constraints, space):
@@ -159,6 +244,28 @@ def test_enumerate_vertices_matches_oracle(polytope):
     constraints, space = polytope
     assert _enumerated(enumerate_vertices, constraints, space) == \
         _enumerated(oracles.enumerate_vertices, constraints, space)
+
+
+@given(polytopes())
+@POLYTOPES
+def test_one_solve_per_basis(polytope):
+    # k = n - rank(equalities) tight rows among m inequalities and n facets
+    constraints, space = polytope
+    n, calls, solve = len(space.atoms), [0], core.solve_linear
+
+    def counted(a, b):
+        calls[0] += 1
+        return solve(a, b)
+
+    core.solve_linear = counted
+    try:
+        _enumerated(enumerate_vertices, constraints, space)
+    finally:
+        core.solve_linear = solve
+    equalities = [[c.coeffs.get(z, 0) for z in space.atoms] for c in constraints if c.relation == "="]
+    k = n - oracles.matrix_rank([[1] * n, *equalities])
+    m = sum(c.relation != "=" for c in constraints)
+    assert calls[0] == comb(m + n, k)
 
 
 def test_degenerate_vertex_is_listed_once():

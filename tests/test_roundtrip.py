@@ -5,17 +5,23 @@ two emissions must agree byte for byte and the two parses field by field.
 Documents cover vertex-form and constraint-form credal sets, integer,
 vector and symbol values written in every accepted literal form, joint
 and conditional pragmatic distributions, and event scenarios with integer,
-symbol and vector outcomes and their mixes.
+symbol and vector outcomes mixed within one observable set. A symbol
+outcome that renders like a vector outcome, such as ``"(1,2)"`` next to
+``[1, 2]``, cannot be told apart in an emitted file, so a document with
+both must be rejected at parse time, naming the rendering.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from safeprob.errors import ValidationError
 from safeprob.scenario import emit_scenario, parse_scenario
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -113,11 +119,16 @@ def checking_docs(draw):
 
 VECTORS = [(Fraction(1), Fraction(2)), (Fraction(-1, 2), Fraction(3)),
            (Fraction(0), Fraction(1, 4)), (Fraction(3), Fraction(0))]
-OUTCOME_POOLS = {"int": [Fraction(i) for i in range(1, 6)], "symbol": SYMBOLS, "vector": VECTORS}
+#: A symbol outcome that renders like the vector outcome ``VECTORS[0]``.
+LOOKALIKE = "(1,2)"
+OUTCOME_POOLS = {"int": [Fraction(i) for i in range(1, 6)], "symbol": [*SYMBOLS, LOOKALIKE],
+                 "vector": VECTORS}
 
 
 @st.composite
 def event_docs(draw):
+    """An event document, and whether it holds both ``LOOKALIKE`` and the
+    vector it renders like."""
     kinds = draw(st.sampled_from([["int"], ["symbol"], ["vector"], ["int", "symbol"],
                                   ["vector", "symbol"], ["int", "vector", "symbol"]]))
     pool = [x for kind in kinds for x in OUTCOME_POOLS[kind]]
@@ -129,11 +140,13 @@ def event_docs(draw):
     observables = draw(st.lists(
         st.lists(st.sampled_from(outcomes), min_size=1, max_size=len(outcomes), unique=True),
         min_size=1, max_size=3))
+    if draw(st.booleans()):  # one set holding every outcome, of every drawn kind
+        observables.insert(0, draw(st.permutations(outcomes)))
     return {"format": 1, "events": {
         "outcomes": [literals[x] for x in outcomes],
         "prior": {_key(x): _literal(draw, p) for x, p in prior.items() if p},
         "observables": [[literals[x] for x in s] for s in observables],
-    }}
+    }}, LOOKALIKE in outcomes and VECTORS[0] in outcomes
 
 
 FIELDS = ("space", "rvs", "credal", "pragmatic", "events")
@@ -160,6 +173,22 @@ def test_checking_files_round_trip(tmp_path_factory, doc):
 
 
 @SETTINGS
-@given(doc=event_docs())
-def test_event_files_round_trip(tmp_path_factory, doc):
-    _round_trip(tmp_path_factory, doc)
+@given(drawn=event_docs())
+def test_event_files_round_trip(tmp_path_factory, drawn):
+    doc, clash = drawn
+    if clash:
+        with pytest.raises(ValidationError, match=re.escape(f"render as {LOOKALIKE}")):
+            _round_trip(tmp_path_factory, doc)
+    else:
+        _round_trip(tmp_path_factory, doc)
+
+
+def test_outcomes_that_render_alike_are_rejected(tmp_path):
+    # emitted, both priors would share the key "(1,2)" and the file would
+    # no longer parse
+    source = tmp_path / "lookalike.scn"
+    source.write_text(json.dumps({"format": 1, "events": {
+        "outcomes": ["(1,2)", [1, 2]], "prior": {"(1,2)": "1"},
+        "observables": [["(1,2)"], [[1, 2]]]}}), encoding="utf-8")
+    with pytest.raises(ValidationError, match=re.escape("two distinct outcomes render as (1,2)")):
+        parse_scenario(source)
