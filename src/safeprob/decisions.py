@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
+from ._linalg import integer_row
 from .core import (
     CredalSet,
     Pmf,
@@ -61,6 +62,8 @@ class LossFunction:
             _audit_symmetry(normalized)
         elif self.custom_table is not None:
             raise ValidationError("only custom_table losses take a table")
+        if self.randomized and self.kind != ZERO_ONE:
+            raise ValidationError("only zero_one losses can be randomized")
 
     def outcomes(self) -> list:
         return sorted({u for (u, _) in self.custom_table}, key=value_sort_key)
@@ -162,16 +165,26 @@ def loss_value(loss: LossFunction, u_value, action: Action):
 
 def _compile_policy(ptilde: Pmf, u: Rv, v: Rv, loss: LossFunction):
     """What decision safety and its loss table share: the conditional
-    table, the Bayes policy per conditioning value, the believed loss per
-    supported conditioning value and the realized loss per atom."""
+    table, the Bayes policy per conditioning value, the loss of that
+    policy tabulated once per realizable (target value, conditioner
+    value) cell, the believed loss per supported conditioning value read
+    from it, and the realized loss per atom. Raises ValidationError when
+    a custom table lacks an outcome of the target."""
+    if loss.kind == CUSTOM:
+        missing = sorted(set(u.range()) - set(loss.outcomes()), key=value_sort_key)
+        if missing:
+            raise ValidationError(
+                f"custom loss table lacks outcomes [{', '.join(map(format_value, missing))}]"
+            )
     table = conditional_table(ptilde, u, v)
     policy = {vv: bayes_act(loss, table.rows[vv]) for vv in v.range()}
+    cells = [(u.table[z], v.table[z]) for z in ptilde.space.atoms]
+    cost = {cell: loss_value(loss, cell[0], policy[cell[1]]) for cell in dict.fromkeys(cells)}
     believed = {
-        vv: sum(p * loss_value(loss, uu, policy[vv]) for uu, p in table.rows[vv].items() if p)
+        vv: sum(p * cost[uu, vv] for uu, p in table.rows[vv].items() if p)
         for vv in sorted(support(ptilde, v), key=value_sort_key)
     }
-    losses = [loss_value(loss, u.table[z], policy[v.table[z]]) for z in ptilde.space.atoms]
-    return table, policy, believed, losses
+    return table, policy, cost, believed, [cost[cell] for cell in cells]
 
 
 def check_decision_safety(
@@ -185,13 +198,7 @@ def check_decision_safety(
     the log score, compared to within 1e-12.
     """
     verts = require_unique(ptilde, v, credal)
-    if loss.kind == CUSTOM:
-        missing = set(u.range()) - set(loss.outcomes())
-        if missing:
-            raise ValidationError(
-                f"custom loss table lacks outcomes {sorted(missing, key=value_sort_key)}"
-            )
-    table, policy, believed, losses = _compile_policy(ptilde, u, v, loss)
+    table, policy, cost, believed, losses = _compile_policy(ptilde, u, v, loss)
     notes: list[str] = []
     if table.arbitrary_rows:
         notes.append(
@@ -204,8 +211,7 @@ def check_decision_safety(
             )
     for vv, total in believed.items():
         if total == math.inf:
-            uu = next(uu for uu, p in table.rows[vv].items()
-                      if p and loss_value(loss, uu, policy[vv]) == math.inf)
+            uu = next(uu for uu, p in table.rows[vv].items() if p and cost[uu, vv] == math.inf)
             raise InfiniteLoss(
                 f"believed loss infinite at conditioning value {format_value(vv)}, "
                 f"outcome {format_value(uu)}"
@@ -216,15 +222,22 @@ def check_decision_safety(
     residuals = []
     if infinite:  # any mass on these atoms makes the realized loss infinite
         residuals.append(equal(
-            Linear({i: 1 for i in infinite}), Linear({}),
+            Linear.mass(infinite), Linear({}),
             error=lambda p: InfiniteLoss(
                 f"realized loss infinite at atom "
                 f"{next(atoms[i] for i in infinite if p.weights[atoms[i]])!r} "
                 "under a credal vertex"),
+            rows=([int(c == math.inf) for c in losses], None),
         ))
     actual = Linear({i: c for i, c in enumerate(losses) if c != math.inf})
-    tol = LOG_TOLERANCE if loss.kind == LOG else None
-    residuals += [equal(actual, Linear({}, b), v=vv, tol=tol) for vv, b in believed.items()]
+    finite = [0 if c == math.inf else c for c in losses]
+    for vv, b in believed.items():
+        if loss.kind == LOG:
+            residuals.append(equal(actual, Linear({}, b), v=vv, tol=LOG_TOLERANCE))
+        else:  # the realized loss minus b is sum_i (finite_i - b) P(i): the atoms sum to 1
+            *scaled, sb = integer_row([*finite, b])
+            residuals.append(equal(actual, Linear({}, b), v=vv,
+                                   rows=([c - sb for c in scaled], None)))
     ce = first_failure(residuals, verts)
     return Verdict(holds=ce is None, counterexample=ce, notes=tuple(notes))
 
@@ -235,7 +248,7 @@ def decision_loss_table(
     """Believed conditional losses per conditioning value and actual
     expected losses per credal vertex, for reporting alongside
     :func:`check_decision_safety`."""
-    _, policy, believed, losses = _compile_policy(ptilde, u, v, loss)
+    _, policy, _, believed, losses = _compile_policy(ptilde, u, v, loss)
     actual = Linear(dict(enumerate(losses)))
     return {"policy": policy, "believed": believed,
             "actual": [actual.at(p.as_tuple()) for p in credal.vertex_list()]}

@@ -48,6 +48,7 @@ from .safety import (
     check_safety,
     equal,
     first_failure,
+    scaled_row,
     stratify,
 )
 
@@ -83,25 +84,23 @@ class PivotVerdict:
     failure: Optional[str] = None
 
 
-def _law_residuals(pivot: dict, law: Mapping, cells: Mapping) -> list:
-    """P(T = t, C = c) = law[t] * P(C = c) for every cell c (atom indices)
-    and pivot value t, where ``pivot`` maps atom indices to pivot values;
-    printed as conditional probabilities given the cell."""
-    values = sorted(set(pivot.values()), key=value_sort_key)
-    return [
-        equal(Linear({i: 1 for i in idx if pivot[i] == t}), Linear.mass(idx, law[t]),
-              v=c, u=t, denom=Linear.mass(idx))
-        for c, idx in cells.items() for t in values
-    ]
-
-
-def _law(pivot: dict, x: Sequence) -> dict:
-    """Law of the pivot under the weights ``x`` conditioned on its atoms."""
-    total = sum(x[i] for i in pivot)
-    law = dict.fromkeys(pivot.values(), Fraction(0))
+def _law_residuals(pivot: dict, ints: Sequence[int], cells: Mapping) -> list:
+    """P(T = t, C = c) = law(t) * P(C = c) for every cell c (atom indices)
+    and pivot value t, where ``pivot`` maps atom indices to pivot values
+    and law(t) = count(t) / total is the pivot's law under the integer
+    weights ``ints`` on its atoms; printed as conditional probabilities
+    given the cell."""
+    counts = dict.fromkeys(sorted(set(pivot.values()), key=value_sort_key), 0)
     for i, t in pivot.items():
-        law[t] += x[i] / total
-    return law
+        counts[t] += ints[i]
+    total = sum(counts.values())
+    hits = {t: {i: int(pt == t) for i, pt in pivot.items()} for t in counts}
+    return [
+        equal(Linear({i: 1 for i in idx if pivot[i] == t}),
+              Linear.mass(idx, Fraction(counts[t], total)), v=c, u=t, denom=Linear.mass(idx),
+              rows=(scaled_row(hits[t], total, counts[t], idx, len(ints)), None))
+        for c, idx in cells.items() for t in counts
+    ]
 
 
 def _check_pivot_on(
@@ -131,8 +130,8 @@ def _check_pivot_on(
         images[vv] = set(seen)
 
     if verts:
-        law = _law(pivot, verts[0].as_tuple())
-        if first_failure(_law_residuals(pivot, law, {None: stratum}), verts) is not None:
+        if first_failure(_law_residuals(pivot, verts[0].integer_weights(), {None: stratum}),
+                         verts) is not None:
             return PivotVerdict(
                 False, False, "credal members disagree on the pivot distribution"
             ), pivot
@@ -184,13 +183,13 @@ def check_pivotal_safety(
         pv, pivot = _check_pivot_on(spec, u, v, kept, stratum)
         if not pv.is_pivot:
             raise NotAPivot(pv.failure or "pivot requirements not met")
-        overall = _law(pivot, ptilde.as_tuple())
+        ints = ptilde.integer_weights()
         # w coarsens v, so each cell of v lies inside the stratum or outside it
         cells = {vv: idx for vv, idx in v.cells().items() if idx[0] in stratum}
         checks = (
-            (_law_residuals(pivot, overall, cells), [ptilde],
+            (_law_residuals(pivot, ints, cells), [ptilde],
              "pragmatic pivot law varies with the conditioner"),
-            (_law_residuals(pivot, overall, {None: stratum}), kept[:1],
+            (_law_residuals(pivot, ints, {None: stratum}), kept[:1],
              "pragmatic pivot law differs from the common credal law"),
         )
         for residuals, vertices, note in checks:

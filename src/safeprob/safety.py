@@ -25,9 +25,12 @@ Each exact notion is therefore compiled once per query, from the
 pragmatic distribution alone, to an ordered list of :class:`Residual`
 conditions lo(P) <= lhs(P) <= hi(P) on the atom probabilities, and one
 evaluator, :func:`first_failure`, scans them against the vertices. The
-calibration, decision and pivot checks compile to the same form. The
-full-distribution range notion (``dist-range``) is the one non-linear
-check: it tests convex-hull membership of each vertex's target law.
+calibration, decision and pivot checks compile to the same form. Every
+exact residual carries integer rows built from integer weights, mostly
+by :func:`scaled_row`; only the log-score decision check compares floats
+within a tolerance. The full-distribution range notion (``dist-range``)
+is the one non-linear check: it tests convex-hull membership of each
+vertex's target law.
 
 An optional stratifier W turns a query into its per-stratum version: for
 every vertex-supported w the residuals are compiled from the pragmatic
@@ -208,8 +211,7 @@ class Residual:
     exactly; ``error`` makes a failure raise ``error(vertex)`` instead of
     yielding a counterexample. ``rows`` holds ``lhs - lo`` and ``hi - lhs``
     (None for an equality) as integer rows over the atoms, each up to a
-    positive factor, when the compiler has them; :func:`first_failure`
-    scales the functionals itself otherwise."""
+    positive factor; it is None only for a ``tol`` residual."""
 
     lhs: Linear
     lo: Linear
@@ -236,18 +238,14 @@ class HullTest:
     generators: list
 
 
-def _integer_row(plus: Linear, minus: Linear, n: int) -> list[int]:
-    """Coefficients of ``plus - minus``, constants spread over all ``n`` atoms,
-    scaled by a positive integer so that every entry is an integer."""
-    const = plus.const - minus.const
-    parts = ((1, plus.coeffs.items()), (-1, minus.coeffs.items()),
-             (1, [(i, const) for i in range(n)] if const else ()))
-    scale = math.lcm(*(c.denominator for _, terms in parts for _, c in terms))
-    row = [0] * n
-    for sign, terms in parts:
-        for i, c in terms:
-            row[i] += sign * c.numerator * (scale // c.denominator)
-    return row
+def scaled_row(icoef, t: int, b: int, idx: Sequence[int], n: int) -> list[int]:
+    """``t * icoef - b`` on the atoms ``idx``, 0 on the others of the ``n``:
+    for coefficients c with d * c = ``icoef``, a mass t > 0 and a sum b,
+    d * t * (c - claim) for the claim b / (d * t)."""
+    out = [0] * n
+    for i in idx:
+        out[i] = t * icoef[i] - b
+    return out
 
 
 def _dot(row: list[int], ints: Sequence[int]) -> int:
@@ -258,28 +256,22 @@ def first_failure(residuals: Sequence, vertices: Sequence[Pmf]) -> Optional[Coun
     """The evaluator: the first failing residual, scanning ``vertices`` in
     order and each vertex's residuals in order.
 
-    Exact residuals are decided on integer-scaled weights; the
-    counterexample's values are computed exactly once a residual fails.
-    Its ``w`` is left for the caller to set.
+    Exact residuals are decided by the signs of their integer rows on the
+    vertex's integer weights, and the hull test on the integer law of the
+    target; the counterexample's values are computed exactly once a
+    residual fails. Its ``w`` is left for the caller to set.
     """
-    if not vertices:
-        return None
-    n = len(vertices[0].space)
-    rows = [
-        None if isinstance(r, HullTest) or r.tol is not None
-        else r.rows or (_integer_row(r.lhs, r.lo, n),
-                        None if r.lo is r.hi else _integer_row(r.hi, r.lhs, n))
-        for r in residuals
-    ]
     for p in vertices:
         x, ints = p.as_tuple(), p.integer_weights()
-        for r, row in zip(residuals, rows):
+        for r in residuals:
             if isinstance(r, HullTest):
-                law = {uv: sum((x[i] for i in idx), Fraction(0)) for uv, idx in r.cells.items()}
+                law = {uv: sum(ints[i] for i in idx) for uv, idx in r.cells.items()}
                 mass = sum(law.values())
-                if not hull_membership({uv: pr / mass for uv, pr in law.items()}, r.generators):
+                if not hull_membership({uv: Fraction(c, mass) for uv, c in law.items()},
+                                       r.generators):
                     return Counterexample(vertex=p)
                 continue
+            row = r.rows
             if row is None:
                 bound = r.lo if abs(r.lhs.at(x) - r.lo.at(x)) > r.tol else None
             elif row[1] is None:
@@ -388,28 +380,22 @@ def notion_residuals(
     def part(coef, idx):
         return Linear({i: coef[i] for i in idx if coef[i]})
 
-    def row(icoef, t, b, idx) -> list[int]:
-        """``t * icoef - b`` on the atoms ``idx``: for a value's mass t and
-        sum b, d * mass * (coefficient - claim)."""
-        out = [0] * n
-        for i in idx:
-            out[i] = t * icoef[i] - b
-        return out
-
     stratum_mass = None if stratum is None else Linear.mass(stratum)
-    if right == RIGHT_PLAIN:
-        return [
-            equal(part(coef, idx), Linear.mass(idx, claims[s]), v=val, u=label,
-                  denom=Linear.mass(idx) if left == LEFT_AVERAGE else stratum_mass,
-                  rows=(row(icoef, mass[s], sums[s], idx), None))
-            for s, (val, idx) in enumerate(supported)
-            for label, coef, icoef, sums, claims in components
-        ]
+    if right in (RIGHT_PLAIN, RIGHT_SQUARE):
+        plain = right == RIGHT_PLAIN
+        out = []
+        for s, (val, idx) in enumerate(supported):
+            scope = idx if plain else atoms
+            denom = Linear.mass(idx) if plain and left == LEFT_AVERAGE else stratum_mass
+            out += [equal(part(coef, scope), Linear.mass(scope, claims[s]), v=val, u=label,
+                          denom=denom, rows=(scaled_row(icoef, mass[s], sums[s], scope, n), None))
+                    for label, coef, icoef, sums, claims in components]
+        return out
     if right == RIGHT_ANGLE:
         common = math.lcm(*mass)
         out = []
         for label, coef, icoef, sums, claims in components:
-            diff = row(icoef, common, 0, atoms)
+            diff = scaled_row(icoef, common, 0, atoms, n)
             for (_, idx), t, b in zip(supported, mass, sums):
                 b *= common // t
                 for i in idx:
@@ -418,13 +404,6 @@ def notion_residuals(
                              Linear({i: c for (_, idx), c in zip(supported, claims) for i in idx}),
                              u=label, denom=stratum_mass, rows=(diff, None)))
         return out
-    if right == RIGHT_SQUARE:
-        return [
-            equal(part(coef, atoms), Linear.mass(atoms, claims[s]), v=val, u=label,
-                  denom=stratum_mass, rows=(row(icoef, mass[s], sums[s], atoms), None))
-            for s, (val, _) in enumerate(supported)
-            for label, coef, icoef, sums, claims in components
-        ]
     out = []  # RIGHT_DBLSQUARE, average: the bracket of the conditional means
     for label, coef, icoef, sums, claims in components:
         lo = min(range(len(claims)), key=claims.__getitem__)
@@ -432,8 +411,8 @@ def notion_residuals(
         out.append(Residual(
             part(coef, atoms), Linear.mass(atoms, claims[lo]), Linear.mass(atoms, claims[hi]),
             u=label, denom=stratum_mass,
-            rows=(row(icoef, mass[lo], sums[lo], atoms),
-                  row(icoef, -mass[hi], -sums[hi], atoms))))
+            rows=(scaled_row(icoef, mass[lo], sums[lo], atoms, n),
+                  scaled_row(icoef, -mass[hi], -sums[hi], atoms, n))))
     return out
 
 

@@ -25,7 +25,7 @@ from safeprob.decisions import (
     loss_value,
 )
 from safeprob.demos import monty_events, monty_scenario
-from safeprob.errors import InfiniteLoss, ValidationError
+from safeprob.errors import InfiniteLoss, NotEssentiallyUnique, ValidationError
 from safeprob.pivots import canonical_pivot, check_pivot, check_pivotal_safety
 from safeprob.updates import build_event_scenario, rule_completion
 
@@ -131,6 +131,15 @@ class TestLossFunctions:
         loss = LossFunction(ZERO_ONE, randomized=True)
         mixed = Action(mass={D(0): Fraction(1, 4), D(1): Fraction(3, 4)})
         assert loss_value(loss, D(1), mixed) == Fraction(1, 4)
+
+    def test_randomized_is_zero_one_only(self):
+        for kind in (BRIER, LOG):
+            with pytest.raises(ValidationError) as excinfo:
+                LossFunction(kind, randomized=True)
+            assert str(excinfo.value) == "only zero_one losses can be randomized"
+        table = {(D(0), "a"): 0, (D(1), "a"): 1, (D(0), "b"): 1, (D(1), "b"): 0}
+        with pytest.raises(ValidationError):
+            LossFunction(CUSTOM, custom_table=table, randomized=True)
 
     def test_log_loss_infinite_on_zero_mass(self):
         loss = LossFunction(LOG)
@@ -274,6 +283,20 @@ class TestDecisionSafety:
             check_decision_safety(uniform, u, v, LossFunction(CUSTOM, custom_table=table),
                                   CredalSet.from_vertices([uniform]))
         assert str(info.value) == "believed loss infinite at conditioning value 0, outcome 1"
+
+    def test_custom_table_lacking_an_outcome_is_rejected_by_both(self):
+        space, u, v = product_space(3, 2)
+        uniform = Pmf.uniform(space)
+        table = {(D(0), "a"): 0, (D(1), "a"): 1, (D(0), "b"): 1, (D(1), "b"): 0}
+        loss = LossFunction(CUSTOM, custom_table=table)
+        for check in (check_decision_safety, decision_loss_table):
+            with pytest.raises(ValidationError) as info:
+                check(uniform, u, v, loss, CredalSet.from_vertices([uniform]))
+            assert str(info.value) == "custom loss table lacks outcomes [2]", check.__name__
+        # a conditioner that is not essentially unique is still reported first
+        ptilde = Pmf.normalized(space, {"u0v0": 1, "u1v0": 1, "u2v0": 1})
+        with pytest.raises(NotEssentiallyUnique):
+            check_decision_safety(ptilde, u, v, loss, CredalSet.from_vertices([uniform]))
 
     def test_pivotal_safety_gives_decision_safety(self):
         # a simple common-law pivot with tie-free Bayes acts makes the

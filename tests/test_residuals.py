@@ -7,7 +7,9 @@ field with its type, ``notes``) or the raised exception must agree.
 
 One metamorphic property pins the stratified contract on the same
 instances: a check stratified by W reports what the unstratified check
-reports on the instance conditioned on its first failing stratum.
+reports on the instance conditioned on its first failing stratum. One
+more pins the compiled form itself: every integer row has the sign of
+the functional it stands for, at the vertices and between them.
 """
 
 from __future__ import annotations
@@ -21,10 +23,24 @@ from hypothesis import strategies as st
 
 import oracles
 from safeprob.calibration import check_calibrated_full, check_calibrated_mean
-from safeprob.core import CredalSet, OutcomeSpace, Pmf, Rv, condition, format_value, support
+from safeprob.core import (
+    CredalSet,
+    OutcomeSpace,
+    Pmf,
+    Rv,
+    condition,
+    format_value,
+    mix,
+    support,
+)
 from safeprob.decisions import BRIER, CUSTOM, LOG, ZERO_ONE, LossFunction, check_decision_safety
 from safeprob.errors import SafeprobError, UniquenessViolated
-from safeprob.pivots import PivotSpec, canonical_pivot, check_pivotal_safety
+from safeprob.pivots import (
+    PivotSpec,
+    _law_residuals,
+    canonical_pivot,
+    check_pivotal_safety,
+)
 from safeprob.safety import (
     LEFT_AVERAGE,
     LEFT_FULL,
@@ -34,6 +50,7 @@ from safeprob.safety import (
     RIGHT_SQUARE,
     SafetyQuery,
     check_safety,
+    notion_residuals,
     supported_values,
 )
 
@@ -151,6 +168,48 @@ def test_safety_modes_stratified(inst):
         query = SafetyQuery(u, left, v, right, stratifier=w)
         assert outcome(check_safety, query, ptilde, credal) == \
             outcome(oracles.check_safety, query, ptilde, credal), (left, right)
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _compiled(u, v, w, ptilde):
+    """Every residual the notions compile on the instance, unstratified and
+    per stratum of w the pragmatic distribution gives mass, then the
+    canonical pivot's law checks when that pivot is defined."""
+    ints, n = ptilde.integer_weights(), len(ptilde.space)
+    strata = [None] + [idx for idx in w.cells().values() if any(ints[i] for i in idx)]
+    for left, right in MODES:
+        if (left, right) == (LEFT_FULL, RIGHT_DBLSQUARE) or (
+                left == LEFT_AVERAGE and not u.is_numeric):
+            continue
+        for stratum in strata:
+            yield from notion_residuals(left, right, u, v, ptilde, stratum)
+    try:
+        spec = canonical_pivot(ptilde, u, v)
+    except UniquenessViolated:
+        return
+    pivot = {i: spec.mapping[u.table[z], v.table[z]] for i, z in enumerate(u.space.atoms)}
+    cells = {**v.cells(), None: range(n)}
+    yield from _law_residuals(pivot, ints, cells)
+
+
+@given(instances())
+@SETTINGS
+def test_rows_have_the_signs_of_their_functionals(inst):
+    """row_0 . ints has the sign of lhs - lo, and for a bracket row_1 . ints
+    that of hi - lhs, at every vertex and at mixtures of them."""
+    u, v, w, ptilde, credal = inst
+    verts = credal.vertex_list()
+    pmfs = [*verts, *(mix(p, q, Fraction(1, 3)) for p, q in zip(verts, [*verts[1:], ptilde]))]
+    for r in _compiled(u, v, w, ptilde):
+        for p in pmfs:
+            x, ints = p.as_tuple(), p.integer_weights()
+            dot = [None if row is None else sum(map(int.__mul__, row, ints)) for row in r.rows]
+            assert _sign(dot[0]) == _sign(r.lhs.at(x) - r.lo.at(x)), (r.v, r.u)
+            if r.lo is not r.hi:
+                assert _sign(dot[1]) == _sign(r.hi.at(x) - r.lhs.at(x)), (r.v, r.u)
 
 
 def _first_failing_stratum(u, v, w, ptilde, credal, left, right):
