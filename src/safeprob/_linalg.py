@@ -1,7 +1,7 @@
 """Exact Gauss-Jordan elimination on integers, fraction-free.
 
-Small dense systems only. ``solve_linear`` takes integer rows;
-``matrix_rank`` scales ``Fraction`` rows to integers first.
+Small dense systems only. ``solve_linear`` and ``matrix_rank`` both take
+integer rows; ``integer_row`` scales a ``Fraction`` row to one.
 Following Bareiss (1968), with pivot ``d`` in row ``r`` and ``prev`` the
 pivot used before it (1 at first), every other row, also one with a 0 in
 the pivot column, becomes ``(d*row_i - row_i[c]*row_r) // prev``: an
@@ -85,6 +85,6 @@ def solve_linear(
     return UNIQUE, nums, den
 
 
-def matrix_rank(a: list[list]) -> int:
-    """Rank of a rational matrix."""
-    return len(_rref([integer_row(row) for row in a], len(a[0]) if a else 0)[0])
+def matrix_rank(a: list[list[int]]) -> int:
+    """Rank of an integer matrix."""
+    return len(_rref(list(a), len(a[0]) if a else 0)[0])

@@ -30,7 +30,6 @@ from .core import (
     expectation,
     joint_rv,
     support,
-    value_pmf,
     value_sort_key,
 )
 from .errors import (
@@ -114,16 +113,10 @@ def ignores(ptilde: Pmf, u: Rv, v: Rv, vprime: Rv) -> bool:
         raise MissingDetermination(
             f"{v.name} does not determine {vprime.name} almost surely"
         )
-    pair = joint_rv(v, vprime)
-    rows_prime = {
-        pv: value_pmf(condition(ptilde, vprime, pv), u)
-        for pv in support(ptilde, vprime)
-    }
-    for cell in support(ptilde, pair):
-        row_joint = value_pmf(condition(ptilde, pair, cell), u)
-        if row_joint != rows_prime[cell[1]]:
-            return False
-    return True
+    joint = conditional_table(ptilde, u, joint_rv(v, vprime))
+    rows_prime = conditional_table(ptilde, u, vprime).rows
+    return all(row == rows_prime[cell[1]] for cell, row in joint.rows.items()
+               if cell not in joint.arbitrary_rows)
 
 
 def calibration_equivalence(u: Rv, v: Rv, ptilde: Pmf, credal: CredalSet) -> dict:

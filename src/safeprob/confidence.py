@@ -227,6 +227,16 @@ def credible_interval(family, v: float, a: float, b: float) -> CredibleInterval:
     return CredibleInterval(lower=lower, upper=upper, a=a, b=b)
 
 
+def seeded_generator(seed: int):
+    """numpy's counter-based Philox generator keyed by ``seed``, which
+    must lie in [0, 2**128)."""
+    if not 0 <= seed < 2**128:
+        raise ValidationError(f"seed must lie in [0, 2**128), got {seed}")
+    import numpy as np
+
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
 def coverage_estimate(
     family, theta0: float, a: float, b: float, samples: int, seed: int
 ) -> dict:
@@ -247,7 +257,7 @@ def coverage_estimate(
         raise DomainError(f"parameter {theta0} outside open domain ({tlo}, {thi})")
     import numpy as np
 
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = seeded_generator(seed)
     draws = np.asarray(family.sampler(theta0, rng, samples), dtype=float)
     levels = np.asarray(family.confidence_cdf(theta0, draws), dtype=float)
     covered = (levels >= a) & (levels <= b)

@@ -134,9 +134,6 @@ class OutcomeSpace:
             raise ValidationError("atom identifiers must be unique")
         object.__setattr__(self, "atoms", atoms)
 
-    def index(self, atom: str) -> int:
-        return self.atoms.index(atom)
-
     def __len__(self) -> int:
         return len(self.atoms)
 
@@ -155,10 +152,7 @@ class Rv:
     table: Mapping[str, Value]
 
     def __init__(self, space: OutcomeSpace, name: str, table: Mapping):
-        coerced = {atom: as_value(v) for atom, v in table.items()}
-        self._init_checked(space, name, coerced)
-
-    def _init_checked(self, space, name, table):
+        table = {atom: as_value(v) for atom, v in table.items()}
         missing = set(space.atoms) - set(table)
         extra = set(table) - set(space.atoms)
         if missing or extra:
@@ -174,7 +168,7 @@ class Rv:
             raise ValidationError(f"rv {name!r} mixes numeric arities {sorted(arities)}")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "table", MappingProxyType(dict(table)))
+        object.__setattr__(self, "table", MappingProxyType(table))
 
     @classmethod
     def generalized(cls, space: OutcomeSpace, name: str, table: Mapping) -> "Rv":
@@ -400,6 +394,8 @@ class CredalSet:
     @classmethod
     def from_vertices(cls, vertices: Iterable[Pmf]) -> "CredalSet":
         vertices = tuple(vertices)
+        if not vertices:
+            raise ValidationError("vertex form must be non-empty")
         return cls(vertices[0].space, vertices=vertices)
 
     @classmethod
@@ -573,9 +569,6 @@ class ConditionalTable:
     target: Rv
     rows: Mapping
     arbitrary_rows: frozenset = field(default_factory=frozenset)
-
-    def row(self, v) -> dict:
-        return dict(self.rows[v])
 
 
 def conditional_table(p: Pmf, u: Rv, v: Rv) -> ConditionalTable:

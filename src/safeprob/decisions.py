@@ -24,7 +24,6 @@ from .core import (
     as_rational,
     conditional_table,
     format_value,
-    support,
     value_sort_key,
 )
 from .errors import InfiniteLoss, ValidationError
@@ -181,8 +180,8 @@ def _compile_policy(ptilde: Pmf, u: Rv, v: Rv, loss: LossFunction):
     cells = [(u.table[z], v.table[z]) for z in ptilde.space.atoms]
     cost = {cell: loss_value(loss, cell[0], policy[cell[1]]) for cell in dict.fromkeys(cells)}
     believed = {
-        vv: sum(p * cost[uu, vv] for uu, p in table.rows[vv].items() if p)
-        for vv in sorted(support(ptilde, v), key=value_sort_key)
+        vv: sum(p * cost[uu, vv] for uu, p in row.items() if p)
+        for vv, row in table.rows.items() if vv not in table.arbitrary_rows
     }
     return table, policy, cost, believed, [cost[cell] for cell in cells]
 
@@ -276,12 +275,12 @@ def gamble_demo(theta_bar: float, n: int, samples: int, seed: int) -> dict:
     import numpy as np
     from scipy.special import ndtr
 
-    from .confidence import normal_cdf
+    from .confidence import normal_cdf, seeded_generator
 
     sqrt_n = math.sqrt(n)
     actual_closed = 1.0 - normal_cdf(-theta_bar * sqrt_n)
 
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = seeded_generator(seed)
     theta_hat = rng.normal(loc=theta_bar, scale=1.0 / sqrt_n, size=samples)
     accept = theta_hat > 0
     actual_mc = float(np.mean(accept))  # loss is 1 whenever the rule accepts

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .calibration import check_calibrated_full
 from .core import CredalSet, LinearConstraint, OutcomeSpace, Pmf, Rv, as_rational
 from .decisions import (
     BRIER,
@@ -150,7 +149,6 @@ def run_monty_demo(host_bias=Fraction(1, 2)) -> dict:
     pivotal = check_pivotal_safety(
         scn["ptilde"], scn["U"], scn["V"], scn["pivot"], scn["credal"]
     )
-    calibrated = check_calibrated_full(scn["U"], scn["V"], scn["ptilde"], scn["credal"])
 
     losses = {}
     for kind in (ZERO_ONE, BRIER):
@@ -181,7 +179,6 @@ def run_monty_demo(host_bias=Fraction(1, 2)) -> dict:
         "control": control,
         "pivot_verdict": pivot_verdict,
         "pivotal": pivotal,
-        "calibrated": calibrated,
         "losses": losses,
     }
 

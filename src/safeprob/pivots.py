@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .core import (
-    ConditionalTable,
     CredalSet,
     Pmf,
     Rv,
@@ -202,11 +201,14 @@ def check_pivotal_safety(
     return Verdict(holds=True, notes=tuple(notes))
 
 
-def _outcome_probability_mapping(table: ConditionalTable, u: Rv, v: Rv) -> dict:
-    return {
+def _outcome_probability_spec(ptilde: Pmf, u: Rv, v: Rv) -> PivotSpec:
+    """The probability-of-the-realized-outcome map, cells in canonical
+    order: conditioning value outer, target value inner."""
+    table = conditional_table(ptilde, u, v)
+    return PivotSpec(name=f"prob({u.name}|{v.name})", mapping={
         (uu, vv): (Fraction(table.rows[vv][uu]),)
         for vv in v.range() for uu in u.range_given(v, vv)
-    }
+    })
 
 
 def canonical_pivot(ptilde: Pmf, u: Rv, v: Rv) -> PivotSpec:
@@ -216,19 +218,12 @@ def canonical_pivot(ptilde: Pmf, u: Rv, v: Rv) -> PivotSpec:
     values receive the same nonzero conditional probability; otherwise
     raises UniquenessViolated naming the clash.
     """
-    table = conditional_table(ptilde, u, v)
-    for vv in v.range():
-        row = table.rows[vv]
-        by_prob: dict = {}
-        for uu in u.range_given(v, vv):
-            prob = row[uu]
-            if prob > 0 and prob in by_prob:
-                raise UniquenessViolated(vv, prob, (by_prob[prob], uu))
-            by_prob[prob] = uu
-    return PivotSpec(
-        name=f"prob({u.name}|{v.name})",
-        mapping=_outcome_probability_mapping(table, u, v),
-    )
+    spec = _outcome_probability_spec(ptilde, u, v)
+    first: dict = {}
+    for (uu, vv), (prob,) in spec.mapping.items():
+        if prob > 0 and first.setdefault((vv, prob), uu) != uu:
+            raise UniquenessViolated(vv, prob, (first[vv, prob], uu))
+    return spec
 
 
 def pivot_equivalence(ptilde: Pmf, u: Rv, v: Rv, credal: CredalSet) -> dict:
@@ -252,10 +247,7 @@ def pivot_equivalence(ptilde: Pmf, u: Rv, v: Rv, credal: CredalSet) -> dict:
         spec = canonical_pivot(ptilde, u, v)
         hypothesis_met = True
     except UniquenessViolated:
-        spec = PivotSpec(
-            name=f"prob({u.name}|{v.name})",
-            mapping=_outcome_probability_mapping(conditional_table(ptilde, u, v), u, v),
-        )
+        spec = _outcome_probability_spec(ptilde, u, v)
         hypothesis_met = False
     uprime = spec.as_rv(u, v)
     marginal_safe = check_safety(

@@ -481,15 +481,10 @@ def hierarchy_report(u: Rv, v: Rv, ptilde: Pmf, credal: CredalSet) -> dict:
         )
 
     for antecedent, consequent in HIERARCHY_IMPLICATIONS:
-        if antecedent in report and consequent in report:
-            if report[antecedent].holds and not report[consequent].holds:
-                flagged = report[consequent]
-                report[consequent] = Verdict(
-                    holds=flagged.holds,
-                    counterexample=flagged.counterexample,
-                    notes=flagged.notes + (
-                        f"internal-error: {NOTION_NOTATION[antecedent]} holds "
-                        f"but {NOTION_NOTATION[consequent]} fails",
-                    ),
-                )
+        flagged = report[consequent]
+        if report[antecedent].holds and not flagged.holds:
+            report[consequent] = replace(flagged, notes=flagged.notes + (
+                f"internal-error: {NOTION_NOTATION[antecedent]} holds "
+                f"but {NOTION_NOTATION[consequent]} fails",
+            ))
     return report

@@ -229,8 +229,6 @@ def build_event_scenario(ev: EventScenario) -> dict:
         cell = {z: Fraction(1) for z in atoms if u_table[z] == uu}
         if cell:
             constraints.append(LinearConstraint(cell, "=", ev.prior[uu]))
-        elif ev.prior[uu] > 0:
-            raise AssertionError("stranded outcome slipped through validation")
     credal = CredalSet.from_constraints(space, constraints)
 
     rows = {}

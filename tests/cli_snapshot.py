@@ -12,9 +12,12 @@ The list covers, on every bundled scenario file:
 - ``report`` for every ordered u/v pair, and ``events``;
 
 plus the three ``demo``s and one short ``coverage`` run, each as text
-and with ``--json``. Scenario files are named relative to the bundled
-scenario directory, so the output does not depend on where the checkout
-lives. Usage, from the root of a checkout::
+and with ``--json``, and the printed output of every ``demos/*.py``
+script of the checkout whose ``safeprob`` is imported, keyed by its path
+relative to that checkout and run in-process as ``__main__``. Scenario
+files are named relative to the bundled scenario directory, so the
+output does not depend on where the checkout lives. Usage, from the root
+of a checkout::
 
     PYTHONPATH=src python tests/cli_snapshot.py new.json
     PYTHONPATH=/path/to/other/checkout/src python tests/cli_snapshot.py old.json
@@ -37,6 +40,7 @@ import argparse
 import io
 import json
 import os
+import runpy
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -46,6 +50,7 @@ from safeprob.cli import NOTIONS, main
 from safeprob.scenario import parse_scenario
 
 SCENARIO_DIR = Path(safeprob.__file__).resolve().parent / "scenarios"
+DEMO_DIR = Path(safeprob.__file__).resolve().parents[2] / "demos"
 UNKNOWN = "NO_SUCH_RV"
 
 
@@ -91,11 +96,21 @@ def run(argv: list[str]) -> list:
     return [code, out.getvalue(), err.getvalue()]
 
 
+def run_demo(path: Path) -> list:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        runpy.run_path(str(path), run_name="__main__")
+    return [0, out.getvalue(), err.getvalue()]
+
+
 def snapshot(names: list[str]) -> dict:
     here = os.getcwd()
     os.chdir(SCENARIO_DIR)
     try:
-        return {" ".join(argv): run(argv) for argv in all_argvs(names)}
+        entries = {" ".join(argv): run(argv) for argv in all_argvs(names)}
+        for path in sorted(DEMO_DIR.glob("*.py")):  # none when the checkout has no demos
+            entries[f"demos/{path.name}"] = run_demo(path)
+        return entries
     finally:
         os.chdir(here)
 

@@ -20,6 +20,7 @@ from safeprob.calibration import (
 )
 from safeprob.core import (
     CredalSet,
+    OutcomeSpace,
     Pmf,
     Rv,
     condition,
@@ -215,6 +216,14 @@ class TestIgnores:
                                  {vv: Fraction(1, 2) for vv in v.range()}, rows)
         const = Rv.constant(space, "0")
         assert not ignores(ptilde, u, v, const)
+
+    def test_unsupported_cell_is_skipped(self):
+        # V = 2 has no pragmatic mass, so its uniform fill row decides nothing
+        space = OutcomeSpace(["a", "b", "c", "d", "e"])
+        u = Rv(space, "U", {"a": 0, "b": 1, "c": 0, "d": 1, "e": 2})
+        v = Rv(space, "V", {"a": 0, "b": 0, "c": 1, "d": 1, "e": 2})
+        ptilde = Pmf(space, {z: Fraction(1, 4) for z in "abcd"})
+        assert ignores(ptilde, u, v, Rv.constant(space, "0"))
 
     def test_missing_determination(self):
         space, u, v = product_space(2, 2)

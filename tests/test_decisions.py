@@ -346,6 +346,10 @@ class TestGambleDemo:
         with pytest.raises(ValidationError):
             gamble_demo(0.2, 10, 1000, 1)
 
+    def test_negative_seed_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match=r"seed must lie in \[0, 2\*\*128\), got -1"):
+            gamble_demo(-0.2, 10, 1000, -1)
+
     def test_believed_loss_matches_quadrature(self):
         # independent oracle: integrate the believed conditional loss of
         # the accept region against the sampling density of the mean

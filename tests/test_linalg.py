@@ -4,9 +4,10 @@ The fraction-free elimination kernel (``_linalg``) and the basis
 enumerator (``core.enumerate_vertices``) are compared against the
 ``Fraction`` kernel and the full-width enumerator they replaced (kept in
 ``oracles``): on random rectangular systems, with each augmented row
-``[a_i | b_i]`` scaled to integers, the same status and rank, and a
-unique solution whose integer numerators over the positive common
-denominator are the oracle's ``x``; on random constraint polytopes, the
+``[a_i | b_i]`` (for the rank, each row ``a_i``) scaled to integers,
+the same status and rank, and a unique solution whose integer
+numerators over the positive common denominator are the oracle's
+``x``; on random constraint polytopes, the
 same vertex list in the same order, the same error, and one solve per
 basis. Fixed cases pin the fraction-free invariants: every reduced pivot
 row is the last pivot times the oracle's reduced row, also across a
@@ -102,7 +103,7 @@ def test_solve_linear_matches_oracle(system):
 @SETTINGS
 def test_matrix_rank_matches_oracle(system):
     a, _ = system
-    assert matrix_rank(a) == oracles.matrix_rank(a)
+    assert matrix_rank([integer_row(row) for row in a]) == oracles.matrix_rank(a)
 
 
 @pytest.mark.parametrize("a, b, expected", [

@@ -212,6 +212,16 @@ class TestCanonicalPivot:
             canonical_pivot(ptilde, u, v)
         assert excinfo.value.p == Fraction(1, 2)
 
+    def test_zero_probability_outcomes_may_share_a_value(self):
+        # U = 1 and U = 2 are realizable at V = 0 with conditional probability 0
+        space = OutcomeSpace(["a", "b", "c", "d"])
+        u = Rv(space, "U", {"a": 0, "b": 1, "c": 2, "d": 0})
+        v = Rv(space, "V", {"a": 0, "b": 0, "c": 0, "d": 1})
+        ptilde = Pmf(space, {"a": Fraction(1, 2), "d": Fraction(1, 2)})
+        spec = canonical_pivot(ptilde, u, v)
+        zero = (Fraction(0),)
+        assert spec.mapping[((Fraction(1),), zero)] == spec.mapping[((Fraction(2),), zero)] == zero
+
     def test_point_mass_rows_give_unit_values(self):
         space = OutcomeSpace(["a", "b"])
         u = Rv(space, "U", {"a": 0, "b": 1})

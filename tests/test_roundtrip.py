@@ -8,7 +8,9 @@ and conditional pragmatic distributions, and event scenarios with integer,
 symbol and vector outcomes mixed within one observable set. A symbol
 outcome that renders like a vector outcome, such as ``"(1,2)"`` next to
 ``[1, 2]``, cannot be told apart in an emitted file, so a document with
-both must be rejected at parse time, naming the rendering.
+both must be rejected at parse time, naming the rendering. Where
+jsonschema is installed, the drawn and the emitted document must also
+validate against the shipped schema.
 """
 
 from __future__ import annotations
@@ -21,8 +23,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from safeprob import bundled_scenario
 from safeprob.errors import ValidationError
 from safeprob.scenario import emit_scenario, parse_scenario
+
+try:
+    from jsonschema import Draft202012Validator
+except ImportError:  # only the schema assertions need it
+    SCHEMA = None
+else:
+    SCHEMA = Draft202012Validator(
+        json.loads(bundled_scenario("scenario.schema.json").read_text(encoding="utf-8")))
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 SYMBOLS = ["a", "b", "heads", "tails"]
@@ -156,8 +167,12 @@ def _round_trip(tmp_path_factory, doc):
     tmp = tmp_path_factory.mktemp("roundtrip")
     source = tmp / "drawn.scn"
     source.write_text(json.dumps(doc), encoding="utf-8")
+    if SCHEMA is not None:
+        SCHEMA.validate(doc)
     first = parse_scenario(source)
     emitted = emit_scenario(first)
+    if SCHEMA is not None:
+        SCHEMA.validate(json.loads(emitted))
     again = tmp / "emitted.scn"
     again.write_text(emitted, encoding="utf-8")
     second = parse_scenario(again)

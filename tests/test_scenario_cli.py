@@ -257,6 +257,14 @@ class TestCli:
         _, second = run_cli(capsys, *args)
         assert first == second
 
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_coverage_seed_outside_philox_keys_exits_two(self, capsys, seed):
+        assert main(["coverage", "--family", "normal", "--n", "3", "--theta0", "0",
+                     "--a", "0.1", "--b", "0.9", "--samples", "100", "--seed", str(seed)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: seed must lie in [0, 2**128), got {seed}\n")
+
     def test_pivot_errors_print_readable_values(self, capsys):
         path = str(bundled_scenario("dilation.scn"))
         code = main(["check", path, "--u", "U", "--v", "V", "--notion", "pivotal",
@@ -295,6 +303,14 @@ class TestCli:
         _, first = run_cli(capsys, *args)
         _, second = run_cli(capsys, *args)
         assert first == second
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_coverage_seed_outside_philox_keys_exits_two(self, capsys, seed):
+        assert main(["coverage", "--family", "normal", "--n", "3", "--theta0", "0",
+                     "--a", "0.1", "--b", "0.9", "--samples", "100", "--seed", str(seed)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: seed must lie in [0, 2**128), got {seed}\n")
 
 
 class TestParserReuse:
@@ -452,6 +468,17 @@ def _with(doc: dict, path: tuple, value) -> dict:
     return doc
 
 
+class TestSchema:
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_and_emitted_files_validate(self, name):
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads(bundled_scenario("scenario.schema.json").read_text(encoding="utf-8"))
+        validator = jsonschema.Draft202012Validator(schema)
+        path = bundled_scenario(name)
+        validator.validate(json.loads(path.read_text(encoding="utf-8")))
+        validator.validate(json.loads(emit_scenario(parse_scenario(path))))
+
+
 class TestWrongJsonTypes:
     """A field of the wrong JSON type is an input error (exit 2) naming
     the field, not a crash."""
@@ -483,6 +510,29 @@ class TestWrongJsonTypes:
         (_with(VERTEX_DOC, ("atoms",), 2), "atoms: expected an array"),
         (_with(VERTEX_DOC, ("atoms",), "ab"), "atoms: expected an array"),
         (_with(VERTEX_DOC, ("atoms",), ["a", ["b"]]), "atoms: expected an array of strings"),
+        (_with(VERTEX_DOC, ("credal", "vertices"), []), "vertex form must be non-empty"),
+        (_with(VERTEX_DOC, ("credal",), {}), "credal: needs either 'vertices' or 'constraints'"),
+        (_with(VERTEX_DOC, ("pragmatic",), {}), "pragmatic: needs either 'joint' or 'conditional'"),
+        (_with(VERTEX_DOC, ("credal",), {"constraints": [{**CONSTRAINT, "rhs": "x"}]}),
+         "credal.constraints[0].rhs: not an exact number: 'x'"),
+        (_with(VERTEX_DOC, ("credal",), {"constraints": [{**CONSTRAINT, "rhs": None}]}),
+         "credal.constraints[0].rhs: expected a number, got None"),
+        (_with(VERTEX_DOC, ("rvs", "U", "a"), 0.5),
+         "rvs[U][a]: floats are inexact, use strings or integers"),
+        (_with(VERTEX_DOC, ("rvs", "U", "a"), None), "rvs[U][a]: cannot read value literal None"),
+        (_with(VERTEX_DOC, ("rvs", "U", "b"), [1, 2]), "rv 'U' mixes numeric arities [1, 2]"),
+        (_with(VERTEX_DOC, ("atoms",), []), "outcome space must be non-empty"),
+        (_with(VERTEX_DOC, ("atoms",), ["a", "a"]), "atom identifiers must be unique"),
+        (_with(VERTEX_DOC, ("credal",), {"constraints": [{**CONSTRAINT, "coeffs": {"a": 0}}]}),
+         "constraint needs at least one nonzero coefficient"),
+        (_with(VERTEX_DOC, ("credal",), {"constraints": [{**CONSTRAINT, "rel": "<"}]}),
+         "relation must be '=', '<=' or '>=', got '<'"),
+        (_with(EVENT_DOC, ("events", "outcomes"), [1, 1]), "base outcomes must be distinct"),
+        (_with(EVENT_DOC, ("events", "observables"), []), "need at least one observable set"),
+        (_with(EVENT_DOC, ("events", "observables"), [[1], []]),
+         "observable sets must be non-empty"),
+        (_with(EVENT_DOC, ("events", "prior", "2"), "1/4"),
+         "prior must be a pmf summing to exactly 1"),
     ])
     def test_exit_two_naming_the_field(self, tmp_path, capsys, doc, message):
         path = str(write(tmp_path, "bad.scn", doc))
@@ -517,6 +567,8 @@ class TestCliSnapshot:
         assert json.loads(snap["report dilation.scn --u U --v V --json"][1])["command"] == "report"
         for argv in ("demo dilation", "demo monty-hall --json", "events dilation.scn"):
             assert argv in snap
+        code, stdout, stderr = snap["demos/01_dilation_and_the_hierarchy.py"]
+        assert (code, stderr) == (0, "") and stdout.startswith("Ignoring an observation")
         assert snap["check dilation.scn --u NO_SUCH_RV --v NO_SUCH_RV2 --w NO_SUCH_RV3 "
                     "--notion valid"][2] == "error: unknown rv 'NO_SUCH_RV'\n"
 
