@@ -35,7 +35,15 @@ from .core import (  # noqa: F401
     essentially_unique,
     support,
 )
-from .safety import SafetyQuery, Verdict, check_safety, hierarchy_report, hull_membership  # noqa: F401
+from .safety import (  # noqa: F401
+    Hull,
+    SafetyQuery,
+    Verdict,
+    check_safety,
+    compile_hull,
+    hierarchy_report,
+    hull_membership,
+)
 
 
 def bundled_scenario(name: str):

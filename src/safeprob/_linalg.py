@@ -34,7 +34,8 @@ def integer_row(row) -> list[int]:
 def _rref(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
     """Reduce the integer ``rows`` in place over their first ``ncols``
     columns until each pivot column is zero outside its pivot row;
-    returns the pivot columns and the last pivot (1 when there is none)."""
+    returns the pivot columns and the last pivot (1 when there is none).
+    While ``prev`` is 1 the exact division by it is left out."""
     nrows = len(rows)
     pivot_cols: list[int] = []
     prev = 1
@@ -42,19 +43,27 @@ def _rref(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
     for c in range(ncols):
         if r == nrows:
             break
-        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pivot is None:
+        for p in range(r, nrows):
+            if rows[p][c]:
+                break
+        else:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        prow = rows[r]
+        prow = rows[p]
+        rows[p] = rows[r]
+        rows[r] = prow
         d = prow[c]
-        for i, row in enumerate(rows):
-            if i != r:
-                f = row[c]
-                if f:
+        for i in range(nrows):
+            if i == r:
+                continue
+            row = rows[i]
+            f = row[c]
+            if f:
+                if prev == 1:
+                    rows[i] = [d * vi - f * vr for vi, vr in zip(row, prow)]
+                else:
                     rows[i] = [(d * vi - f * vr) // prev for vi, vr in zip(row, prow)]
-                elif d != prev:
-                    rows[i] = [d * vi // prev for vi in row]
+            elif d != prev:
+                rows[i] = [d * vi for vi in row] if prev == 1 else [d * vi // prev for vi in row]
         pivot_cols.append(c)
         prev = d
         r += 1

@@ -24,12 +24,9 @@ from .core import (
     CredalSet,
     Pmf,
     Rv,
-    condition,
     conditional_table,
     determines,
-    expectation,
     joint_rv,
-    support,
     value_sort_key,
 )
 from .errors import (
@@ -94,7 +91,11 @@ def check_calibrated_mean(u: Rv, v: Rv, ptilde: Pmf, credal: CredalSet) -> Verdi
     if not u.is_numeric:
         raise NonNumericTarget(f"mean calibration needs a numeric target, got {u.name!r}")
     verts = require_unique(ptilde, v, credal)
-    mean_at = {val: expectation(condition(ptilde, v, val), u) for val in support(ptilde, v)}
+    # the pragmatic conditional mean at each supported value, coordinatewise
+    table = conditional_table(ptilde, u, v)
+    mean_at = {val: tuple(sum(col, Fraction(0))
+                          for col in zip(*([pr * c for c in uv] for uv, pr in row.items())))
+               for val, row in table.rows.items() if val not in table.arbitrary_rows}
     mean_rv = v.compose(f"mean({u.name}|{v.name})", mean_at.get)
     residuals = notion_residuals(LEFT_AVERAGE, RIGHT_PLAIN, u, mean_rv, ptilde)
     ce = first_failure([replace(r, denom=None) for r in residuals], verts)

@@ -277,10 +277,23 @@ class Pmf:
         ints = tuple(w.numerator * (scale // w.denominator) for w in x)
         if sum(ints) != scale:
             raise ValidationError(f"weights sum to {sum(x)}, expected exactly 1")
+        self._fill(space, tuple(x), ints)
+
+    def _fill(self, space: OutcomeSpace, x: tuple, ints: tuple) -> None:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "weights", MappingProxyType(dict(zip(space.atoms, x))))
-        object.__setattr__(self, "_tuple", tuple(x))
+        object.__setattr__(self, "_tuple", x)
         object.__setattr__(self, "_integers", ints)
+
+    @classmethod
+    def _from_integers(cls, space: OutcomeSpace, ints: tuple[int, ...], scale: int) -> "Pmf":
+        """The pmf with weights ``ints[i] / scale``, for nonnegative
+        integers with gcd 1 summing to ``scale``: ``scale`` is then the lcm
+        of the weights' denominators and ``ints`` their integer weights, so
+        neither is recomputed."""
+        p = object.__new__(cls)
+        p._fill(space, tuple(Fraction(v, scale) if v else _ZERO for v in ints), ints)
+        return p
 
     @classmethod
     def point_mass(cls, space: OutcomeSpace, atom: str) -> "Pmf":
@@ -462,7 +475,7 @@ def enumerate_vertices(
     r = matrix_rank([row[:n] for row in eq_rows])
     k = n - r
     seen: set[tuple[int, ...]] = set()
-    found: list[tuple[tuple[int, ...], int, list[Fraction]]] = []
+    found: list[tuple[tuple[int, ...], int]] = []
     # A basis takes k tight rows among the user inequalities and then the
     # nonnegativity facets; a chosen facet fixes its coordinate to 0, so
     # only the remaining columns enter the system.
@@ -492,8 +505,7 @@ def enumerate_vertices(
     # on one common scale, integer order is the order of the weights
     common = lcm(*(scale for _, scale in found))
     found.sort(key=lambda f: [v * (common // f[1]) for v in f[0]], reverse=True)
-    return [Pmf(space, {z: Fraction(v, scale) if v else _ZERO for z, v in zip(space.atoms, key)})
-            for key, scale in found]
+    return [Pmf._from_integers(space, key, scale) for key, scale in found]
 
 
 def support(p: Pmf, x: Rv) -> set:

@@ -30,7 +30,13 @@ exact residual carries integer rows built from integer weights, mostly
 by :func:`scaled_row`; only the log-score decision check compares floats
 within a tolerance. The full-distribution range notion (``dist-range``)
 is the one non-linear check: it tests convex-hull membership of each
-vertex's target law.
+vertex's target law. Its hull is compiled once per query (per stratum)
+from the pragmatic conditionals' integer sums, as gcd-reduced integer
+columns without repeats and their rank, and each vertex's integer
+target law is tested as a point of the cone they span: with positive
+sums throughout, cone and convex-hull membership agree, and every basis
+system is the convex-combination system up to positive scaling (see
+:func:`hull_membership`).
 
 An optional stratifier W turns a query into its per-stratum version: for
 every vertex-supported w the residuals are compiled from the pragmatic
@@ -54,7 +60,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
-from ._linalg import UNIQUE, integer_row, matrix_rank, solve_linear
+from ._linalg import UNIQUE, matrix_rank, solve_linear
 from .core import (
     CredalSet,
     Pmf,
@@ -62,7 +68,6 @@ from .core import (
     essentially_unique,
     format_value,
     joint_rv,
-    value_sort_key,
 )
 from .errors import NonNumericTarget, NotEssentiallyUnique, ValidationError
 
@@ -145,42 +150,56 @@ class Verdict:
             raise ValidationError("failing verdict requires a counterexample")
 
 
-def hull_membership(point: Mapping, generators: Sequence[Mapping]) -> bool:
-    """Is ``point`` a convex combination of ``generators``?
+class Hull(NamedTuple):
+    """A cone compiled once for :func:`hull_membership`: ``rows[k][j]`` is
+    coordinate k of the j-th distinct primitive integer column, and
+    ``rank`` the rank of those columns."""
 
-    All arguments are probability maps over the same finite value set
-    (missing keys mean zero). Decided by exact rational feasibility of
-    ``sum_j lam_j g_j = point``, ``sum_j lam_j = 1``, ``lam >= 0``: every
-    basis, a set of ``rank`` generators, is solved exactly and accepted
-    when its weights are nonnegative. Bases suffice: a feasible
-    combination has a basic solution whose support columns are linearly
-    independent; that support extends to a basis, on which the solution
-    is unique and still nonnegative.
+    rows: list
+    rank: int
 
-    Repeated generators are dropped first, once per call, since a basis
-    through two copies of one generator is singular. Each value row
-    ``[g_1(val), ..., g_m(val) | point(val)]`` is then scaled to integers.
-    The sum-to-one row is dropped when the point and every generator sum
-    exactly to 1, since it is then the sum of the value rows and every
-    subsystem keeps its solutions; it is kept whenever some map does not
-    sum to 1.
+
+def compile_hull(columns: Sequence[Sequence[int]]) -> Hull:
+    """The :class:`Hull` of nonzero, nonnegative integer ``columns``: each
+    divided by the gcd of its entries, repeats dropped in first-occurrence
+    order."""
+    distinct = {}
+    for col in columns:
+        g = math.gcd(*col)
+        distinct[tuple(x // g for x in col)] = None
+    rows = [list(row) for row in zip(*distinct)]
+    return Hull(rows, matrix_rank(rows))
+
+
+def hull_membership(point: Sequence[int], hull: Hull) -> bool:
+    """Is the integer vector ``point`` in the cone of ``hull``'s columns?
+
+    Decided by exact feasibility of ``B mu = point``, ``mu >= 0``, for the
+    column matrix B: every basis, a set of ``rank`` columns, is solved
+    exactly and accepted when its solution is nonnegative. Bases suffice:
+    a feasible combination has a basic solution whose support columns are
+    linearly independent; that support extends to a basis, on which the
+    solution is unique and still nonnegative.
+
+    This is convex-hull membership of probability laws. When the point is
+    t * p and each column t_j * g_j for laws p and g_j summing to 1 and
+    positive t, t_j, then ``B mu = point`` with ``mu >= 0`` holds exactly
+    when p = sum_j lam_j g_j with lam_j = mu_j * t_j / t >= 0, and summing
+    the coordinates gives sum_j lam_j = 1; for maps that do not all sum to
+    1 the caller appends a constant-1 coordinate, which is that condition.
+    Each basis system is then the convex-combination system up to positive
+    scaling of its rows and columns, so the same bases are unique and
+    nonnegative, in the same order. A gcd-reduced column is the same for
+    every positive multiple of a law, so dropping repeated columns drops
+    repeated generators, whose bases would be singular. With no columns
+    the answer is False.
     """
-    values = sorted(
-        {v for v in point} | {v for g in generators for v in g}, key=value_sort_key
-    )
-    if not generators:
+    rows, rank = hull
+    if not rows:
         return False
-    cols = [*dict.fromkeys(tuple(Fraction(g.get(val, 0)) for val in values) for g in generators),
-            [Fraction(point.get(val, 0)) for val in values]]
-    m = len(cols) - 1
-    rows = [integer_row(row) for row in zip(*cols)]
-    if any(sum(col) != 1 for col in cols):
-        rows.append([1] * (m + 1))
-    rank = matrix_rank([row[:m] for row in rows])
-    b = [row[m] for row in rows]
-    for basis in itertools.combinations(range(m), rank):
-        status, lam, _ = solve_linear([[row[c] for c in basis] for row in rows], b)
-        if status == UNIQUE and all(x >= 0 for x in lam):
+    for basis in itertools.combinations(range(len(rows[0])), rank):
+        status, mu, _ = solve_linear([[row[c] for c in basis] for row in rows], point)
+        if status == UNIQUE and all(x >= 0 for x in mu):
             return True
     return False
 
@@ -231,11 +250,12 @@ def equal(lhs: Linear, rhs: Linear, **labels) -> Residual:
 @dataclass(frozen=True)
 class HullTest:
     """The one non-linear check (``dist-range``): the target law of a
-    vertex on the stratum must lie in the convex hull of ``generators``.
-    ``cells`` maps each target value to its atom indices on the stratum."""
+    vertex on the stratum must lie in the convex hull of the pragmatic
+    conditionals, compiled as ``hull``. ``cells`` lists, per target value
+    in canonical order, its atom indices on the stratum."""
 
-    cells: Mapping[object, list]
-    generators: list
+    cells: list
+    hull: Hull
 
 
 def scaled_row(icoef, t: int, b: int, idx: Sequence[int], n: int) -> list[int]:
@@ -265,10 +285,7 @@ def first_failure(residuals: Sequence, vertices: Sequence[Pmf]) -> Optional[Coun
         x, ints = p.as_tuple(), p.integer_weights()
         for r in residuals:
             if isinstance(r, HullTest):
-                law = {uv: sum(ints[i] for i in idx) for uv, idx in r.cells.items()}
-                mass = sum(law.values())
-                if not hull_membership({uv: Fraction(c, mass) for uv, c in law.items()},
-                                       r.generators):
+                if not hull_membership([sum(ints[i] for i in idx) for idx in r.cells], r.hull):
                     return Counterexample(vertex=p)
                 continue
             row = r.rows
@@ -328,7 +345,8 @@ def notion_residuals(
 
     Counterexample values print divided by the stratum's mass, and
     average-mode values per conditioning value (``sqerr``) by P(V = v, W = w).
-    Full-distribution ``dblsquare`` compiles to a single :class:`HullTest`.
+    Full-distribution ``dblsquare`` compiles to a single :class:`HullTest`,
+    whose hull is compiled from the per-value integer sums.
     Each residual carries its integer rows, built from the pragmatic
     distribution's integer weights.
     """
@@ -358,11 +376,8 @@ def notion_residuals(
                 sums[uk[i]] += ints[i]
             per_value.append(sums)
         if right == RIGHT_DBLSQUARE:
-            return [HullTest(
-                cells={uv: [i for i in atoms if uk[i] == k] for k, uv in enumerate(u_range)},
-                generators=[{uv: Fraction(b, t) for uv, b in zip(u_range, sums)}
-                            for sums, t in zip(per_value, mass)],
-            )]
+            return [HullTest(cells=[[i for i in atoms if uk[i] == k] for k in range(len(u_range))],
+                             hull=compile_hull(per_value))]
         for k, uv in enumerate(u_range):
             coef = [int(j == k) for j in uk]
             components.append((uv, coef, coef, 1, [sums[k] for sums in per_value]))

@@ -1,4 +1,5 @@
-"""Shared instance generators for the property and acceptance suites.
+"""Shared instance generators for the property and acceptance suites,
+and the map form of ``safety.hull_membership``.
 
 Everything is driven by `random.Random` with explicit seeds so failures
 reproduce; probabilities are built exactly (random integer weights
@@ -9,8 +10,30 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Mapping, Sequence
 
-from safeprob.core import CredalSet, OutcomeSpace, Pmf, Rv
+from safeprob import safety
+from safeprob._linalg import integer_row
+from safeprob.core import CredalSet, OutcomeSpace, Pmf, Rv, value_sort_key
+
+
+def map_hull_membership(point: Mapping, generators: Sequence[Mapping]) -> bool:
+    """Is the map ``point`` a convex combination of the maps ``generators``?
+
+    The maps share one value set (missing keys mean zero). Each becomes an
+    integer column, one coordinate per value in canonical order, scaled by
+    the lcm of its denominators; a constant-1 coordinate is appended
+    exactly when some map, the point included, does not sum to 1, since
+    only then is the sum-to-one condition not implied by the others. The
+    cone test of ``safety.hull_membership`` on these columns is then the
+    convex-hull test, with the same bases solved in the same order.
+    """
+    values = sorted({v for g in (point, *generators) for v in g}, key=value_sort_key)
+    cols = [[Fraction(g.get(val, 0)) for val in values] for g in (point, *generators)]
+    if any(sum(col) != 1 for col in cols):
+        cols = [[*col, Fraction(1)] for col in cols]
+    target, *columns = map(integer_row, cols)
+    return safety.hull_membership(target, safety.compile_hull(columns))
 
 
 def rational_pmf(rng: random.Random, keys, full_support=True, max_weight=9) -> dict:

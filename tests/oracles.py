@@ -8,12 +8,13 @@ the exact notions are decided by the per-mode vertex loops that predate
 their residual form on top of the value-set guard, conditional table and
 stratum list that predate their atom-index form, and credal geometry is
 computed by the ``Fraction`` elimination kernel and the full-width basis
-enumerator that predate the integer kernel. ``dist-range`` is decided by
+enumerator that predate the integer kernel, and the integer kernel's
+reduction before it was slimmed. ``dist-range`` is decided by
 the subset search that predates the basis-only one: every support of
 size one up to the rank, with the sum-to-one row always present, solved
 on the ``Fraction`` kernel. A custom loss table's symmetry is audited
 by trying every outcome permutation, as before the two-generator audit
-(the last four sections of this module).
+(the last five sections of this module).
 """
 
 from __future__ import annotations
@@ -838,6 +839,47 @@ def enumerate_vertices(
         raise InfeasibleCredalSet("no distribution satisfies the constraints")
     ordered = sorted(found, reverse=True)
     return [Pmf(space, dict(zip(space.atoms, x))) for x in ordered]
+
+
+# ---------------------------------------------------------------------------
+# Reference fraction-free elimination.
+#
+# The integer Bareiss reduction of ``safeprob._linalg._rref`` before its
+# interpreter overhead was cut (a ``next`` over a generator to find the
+# pivot, ``enumerate`` over the rows, and a division by ``prev`` also
+# while it is 1), kept verbatim as the differential oracle in
+# ``tests/test_linalg.py``: the same pivot columns, every reduced row and
+# the same last pivot.
+
+
+def bareiss_rref(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """Reduce the integer ``rows`` in place over their first ``ncols``
+    columns until each pivot column is zero outside its pivot row;
+    returns the pivot columns and the last pivot (1 when there is none)."""
+    nrows = len(rows)
+    pivot_cols: list[int] = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        prow = rows[r]
+        d = prow[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                if f:
+                    rows[i] = [(d * vi - f * vr) // prev for vi, vr in zip(row, prow)]
+                elif d != prev:
+                    rows[i] = [d * vi // prev for vi in row]
+        pivot_cols.append(c)
+        prev = d
+        r += 1
+    return pivot_cols, prev
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import pytest
 
 from conftest import (
     calibrated_instance,
+    map_hull_membership as hull_membership,
     mixed_instance,
     pivotal_instance,
     rational_pmf,
@@ -53,7 +54,6 @@ from safeprob.safety import (
     RIGHT_SQUARE,
     SafetyQuery,
     check_safety,
-    hull_membership,
 )
 from safeprob.scenario import parse_scenario
 from safeprob.updates import build_event_scenario, partition_check, rule_completion

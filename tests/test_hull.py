@@ -1,31 +1,44 @@
 """Differential and metamorphic suite for ``safety.hull_membership``.
 
-The basis search is compared against the subset search it replaced (kept
+The basis search runs in its integer cone form on a hull compiled once
+(``safety.compile_hull``); every case here passes probability maps
+through ``conftest.map_hull_membership``, which builds the integer
+columns and appends the constant-1 coordinate exactly when some map does
+not sum to 1. It is compared against the subset search it replaced (kept
 in ``oracles``, solving on the ``Fraction`` kernel): the same boolean on
 random hulls of 2-6 values and 1-12 generators, with points that are
 mixtures, generators or arbitrary maps, duplicate and rank-deficient
 generator sets, keys missing or set to 0, and unnormalised maps (where
-the sum-to-one row must stay). The number of ``solve_linear`` calls is
-counted on both sides: with m distinct generators (repeats are dropped
-first) the basis search solves at most C(m, rank) systems, exactly that
-many when the point is outside, and then no more than the oracle. An
-inside point may cost more solves than the oracle spent: its first
-feasible support can be small while many bases before any basis
-containing it are singular or negative.
+the sum-to-one coordinate must stay). The number of ``solve_linear``
+calls is counted on both sides: with m distinct generators (repeats are
+dropped when the hull is compiled) the basis search solves at most
+C(m, rank) systems, exactly that many when the point is outside, and
+then no more than the oracle. An inside point may cost more solves than
+the oracle spent: its first feasible support can be small while many
+bases before any basis containing it are singular or negative. Last,
+``check_safety`` on ``dist-range`` calls ``safety.hull_membership`` once
+per scanned vertex and stratum, every solve runs inside that call, and
+each call solves as many systems as the map form on the vertex's law:
+the benchmark's traced run times the search through those two names.
 """
 
 from __future__ import annotations
 
 import contextlib
+import random
 from fractions import Fraction
 from math import comb
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import map_hull_membership as hull_membership
+from conftest import rational_pmf
 from safeprob import safety
-from safeprob.safety import hull_membership
+from safeprob.core import CredalSet, OutcomeSpace, Pmf, Rv, condition, conditional_table, value_pmf
+from safeprob.safety import LEFT_FULL, RIGHT_DBLSQUARE, SafetyQuery, check_safety
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -51,8 +64,11 @@ def counting(module):
 
 
 def solves(module, point, generators) -> tuple[bool, int]:
+    """The answer of ``module``'s search (``safety``'s in map form) and its
+    number of solves."""
+    search = hull_membership if module is safety else module.hull_membership
     with counting(module) as calls:
-        return module.hull_membership(point, generators), calls[0]
+        return search(point, generators), calls[0]
 
 
 def distinct(generators) -> int:
@@ -187,3 +203,73 @@ def test_duplicates_cost_no_more_solves_than_distinct_generators():
     assert solves(safety, h, gens) == solves(safety, h, [g, f, h]) == (True, 1)
     # a repeat written with an explicit zero is the same generator
     assert solves(safety, h, [g, {0: Fraction(1)}, f, h]) == (True, 1)
+
+
+def _dist_range_instance():
+    """U (3 values), V (5) and W (2) on a grid, a fully supported pragmatic
+    distribution whose conditionals given (V, W) agree for V = 0 and V = 4
+    (so each stratum repeats a generator), and five
+    vertices: four keep its conditionals given (V, W), so their laws lie
+    inside every hull (the fourth leaves W = 1 without mass), and the
+    last is a point mass in W = 1, outside."""
+    rng = random.Random(13)
+    atoms = [f"u{i}v{j}w{k}" for i in range(3) for j in range(5) for k in range(2)]
+    space = OutcomeSpace(atoms)
+    u, v, w = (Rv(space, name, {z: int(z[pos]) for z in atoms})
+               for name, pos in (("U", 1), ("V", 3), ("W", 5)))
+    cells = [(j, k) for j in range(5) for k in range(2)]
+    rows = {cell: rational_pmf(rng, range(3)) for cell in cells}
+    rows[4, 0], rows[4, 1] = rows[0, 0], rows[0, 1]  # a repeated generator
+
+    def keeping_rows(marginal):
+        cell = {z: (int(z[3]), int(z[5])) for z in atoms}
+        return Pmf(space, {z: marginal[cell[z]] * rows[cell[z]][int(z[1])] for z in atoms})
+
+    ptilde = keeping_rows(rational_pmf(rng, cells))
+    vertices = [keeping_rows(rational_pmf(rng, cells, full_support=False)) for _ in range(3)]
+    vertices.append(keeping_rows({cell: Fraction(cell[1] == 0, 5) for cell in cells}))
+    vertices.append(Pmf.point_mass(space, "u0v0w1"))
+    return u, v, w, ptilde, CredalSet.from_vertices(vertices)
+
+
+@pytest.mark.parametrize("stratified", [False, True])
+def test_check_safety_searches_each_vertex_once_per_stratum(monkeypatch, stratified):
+    # the benchmark's tracer times safety.hull_membership and the solves
+    # under it: each scanned vertex (per stratum) is one call, every solve
+    # runs inside a call, and each call solves what the map form does on
+    # that vertex's law against the pragmatic conditionals
+    u, v, w, ptilde, credal = _dist_range_instance()
+    verts = credal.vertex_list()
+    strata = ([(ptilde, verts)] if not stratified else
+              [(condition(ptilde, w, wv), [condition(p, w, wv) for p in verts if p.prob(w, wv)])
+               for wv in w.range()])
+    expected = []
+    for pt, laws in strata:
+        table = conditional_table(pt, u, v)
+        gens = [row for val, row in table.rows.items() if val not in table.arbitrary_rows]
+        expected += [solves(safety, value_pmf(p, u), gens) for p in laws]
+    # the scan stops at the first vertex outside its hull
+    expected = expected[:1 + [found for found, _ in expected].index(False)]
+
+    calls, outside = [], [0]
+    member, solve = safety.hull_membership, safety.solve_linear
+
+    def counted_member(point, hull):
+        calls.append([None, 0])
+        calls[-1][0] = member(point, hull)
+        return calls[-1][0]
+
+    def counted_solve(a, b):
+        if calls and calls[-1][0] is None:
+            calls[-1][1] += 1
+        else:
+            outside[0] += 1
+        return solve(a, b)
+
+    monkeypatch.setattr(safety, "hull_membership", counted_member)
+    monkeypatch.setattr(safety, "solve_linear", counted_solve)
+    query = SafetyQuery(u, LEFT_FULL, v, RIGHT_DBLSQUARE, stratifier=w if stratified else None)
+    verdict = check_safety(query, ptilde, credal)
+    assert outside == [0]
+    assert [tuple(call) for call in calls] == expected
+    assert not verdict.holds and len(calls) == (8 if stratified else 5)

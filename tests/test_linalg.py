@@ -9,11 +9,15 @@ the same status and rank, and a unique solution whose integer
 numerators over the positive common denominator are the oracle's
 ``x``; on random constraint polytopes, the
 same vertex list in the same order, the same error, and one solve per
-basis. Fixed cases pin the fraction-free invariants: every reduced pivot
-row is the last pivot times the oracle's reduced row, also across a
-column without a pivot and for rows with a 0 in the pivot column, and
-the denominator is made positive. The metamorphic tests check
-invariances the vertex set must have whatever computes it.
+basis. The reduction itself is compared, row for row, with the Bareiss
+reduction it replaced (``oracles.bareiss_rref``), on the random systems
+and on square integer systems that are regular, singular or
+inconsistent. Fixed cases pin the fraction-free invariants: every
+reduced pivot row is the last pivot times the oracle's reduced row, also
+across a column without a pivot and for rows with a 0 in the pivot
+column, and the denominator is made positive. Each enumerated vertex is
+the ``Pmf`` its weights build. The metamorphic tests check invariances
+the vertex set must have whatever computes it.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import oracles
 from safeprob import core
 from safeprob._linalg import (INCONSISTENT, UNDERDETERMINED, UNIQUE, _rref, integer_row,
                               matrix_rank, solve_linear)
-from safeprob.core import LinearConstraint, OutcomeSpace, enumerate_vertices
+from safeprob.core import LinearConstraint, OutcomeSpace, Pmf, enumerate_vertices
 from safeprob.errors import SafeprobError
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
@@ -174,6 +178,45 @@ def test_rref_entries_are_exact_multiples_of_the_oracle(system):
         assert got == [den * v for v in want]
 
 
+@st.composite
+def square_integer_systems(draw):
+    """An augmented n x (n + 1) integer system ``[a | b]``, 2 <= n <= 5:
+    random, or singular with rows combined from earlier ones and a
+    right-hand side that is consistent or pushed off the row span."""
+    n = draw(st.integers(2, 5))
+    ints = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))
+    rows = [[draw(ints) for _ in range(n + 1)] for _ in range(n)]
+    if draw(st.booleans()):  # singular
+        for i in range(1, n):
+            if i == n - 1 or draw(st.booleans()):
+                ks = [draw(st.integers(-3, 3)) for _ in range(i)]
+                rows[i] = [sum(k * row[j] for k, row in zip(ks, rows)) for j in range(n + 1)]
+                if draw(st.booleans()):  # inconsistent
+                    rows[i][n] += draw(st.sampled_from([1, -7]))
+    return rows
+
+
+def _both_rrefs(rows: list) -> None:
+    """``_rref`` and the reduction it replaced give the same pivot columns,
+    every reduced row and the same last pivot."""
+    ncols = len(rows[0]) - 1 if rows else 0
+    mine, theirs = [list(row) for row in rows], [list(row) for row in rows]
+    assert (_rref(mine, ncols), mine) == (oracles.bareiss_rref(theirs, ncols), theirs)
+
+
+@given(systems())
+@SETTINGS
+def test_rref_matches_the_bareiss_oracle(system):
+    a, b = system
+    _both_rrefs([integer_row([*row, v]) for row, v in zip(a, b)])
+
+
+@given(square_integer_systems())
+@SETTINGS
+def test_rref_matches_the_bareiss_oracle_on_square_systems(rows):
+    _both_rrefs(rows)
+
+
 @pytest.mark.parametrize("a, b, expected", [
     ([[1, 1], [1, -1]], [3, 1], (UNIQUE, [4, 2], 2)),  # last pivot -2
     ([[-1]], [2], (UNIQUE, [-2], 1)),  # last pivot -1
@@ -267,6 +310,22 @@ def test_one_solve_per_basis(polytope):
     k = n - oracles.matrix_rank([[1] * n, *equalities])
     m = sum(c.relation != "=" for c in constraints)
     assert calls[0] == comb(m + n, k)
+
+
+@given(polytopes())
+@POLYTOPES
+def test_enumerated_vertices_are_the_pmfs_of_their_weights(polytope):
+    # each vertex is built from its integer key and scale; the lcm and the
+    # integer weights ``Pmf`` would compute from its weights are the same
+    constraints, space = polytope
+    try:
+        vertices = enumerate_vertices(constraints, space)
+    except SafeprobError:
+        return
+    for p in vertices:
+        assert vars(p) == vars(Pmf(space, dict(p.weights)))
+        assert all(type(w) is Fraction for w in p.as_tuple())
+        assert all(type(v) is int for v in p.integer_weights())
 
 
 def test_degenerate_vertex_is_listed_once():

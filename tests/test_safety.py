@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import STRATEGIES, calibrated_instance, make_instance, mixed_instance, product_space
+from conftest import map_hull_membership as hull_membership
 from safeprob.core import CredalSet, OutcomeSpace, Pmf, Rv
 from safeprob.demos import (
     dilation_extension_scenario,
@@ -26,7 +27,6 @@ from safeprob.safety import (
     SafetyQuery,
     check_safety,
     hierarchy_report,
-    hull_membership,
 )
 from safeprob.updates import build_event_scenario, rule_completion
 
