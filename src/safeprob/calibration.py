@@ -44,6 +44,7 @@ from .safety import (
     check_safety,
     first_failure,
     notion_residuals,
+    require_one_space,
     require_unique,
 )
 
@@ -79,6 +80,7 @@ def check_calibrated_full(u: Rv, v: Rv, ptilde: Pmf, credal: CredalSet) -> Verdi
     forecast row issued at some vertex-supported conditioning value, the
     vertex's conditional on that forecast equals the forecast. Checked in
     the denominator-cleared exact form; zero-mass forecasts are vacuous."""
+    require_one_space(u, v, ptilde, credal)
     verts = require_unique(ptilde, v, credal)
     pred = predicted_distribution_rv(ptilde, u, v).as_rv
     ce = first_failure(notion_residuals(LEFT_FULL, RIGHT_PLAIN, u, pred, ptilde), verts)
@@ -88,6 +90,7 @@ def check_calibrated_full(u: Rv, v: Rv, ptilde: Pmf, credal: CredalSet) -> Verdi
 def check_calibrated_mean(u: Rv, v: Rv, ptilde: Pmf, credal: CredalSet) -> Verdict:
     """Mean calibration: conditioned on the pragmatic conditional mean
     taking a value, the actual conditional mean equals that value."""
+    require_one_space(u, v, ptilde, credal)
     if not u.is_numeric:
         raise NonNumericTarget(f"mean calibration needs a numeric target, got {u.name!r}")
     verts = require_unique(ptilde, v, credal)

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import itertools
 import os
+import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -60,6 +62,22 @@ def size_limit() -> int:
     return cap
 
 
+#: A decimal literal with an exponent, as ``Fraction`` reads one.
+_DECIMAL_EXPONENT = (r"\s*[-+]?(?=\d|\.\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?"
+                     r"[eE]([-+]?\d+(?:_\d+)*)\s*")
+
+
+def parse_rational(text: str) -> Fraction:
+    """``Fraction(text)``, but OverflowError for a decimal exponent beyond
+    Python's bound on int strings, ``sys.get_int_max_str_digits()`` (none
+    when 0), since ``Fraction`` would build 10 to that power."""
+    limit = sys.get_int_max_str_digits()
+    match = limit and ("e" in text or "E" in text) and re.fullmatch(_DECIMAL_EXPONENT, text)
+    if match and abs(int(match[1])) > limit:
+        raise OverflowError(f"decimal exponent of {text!r} exceeds the limit ({limit})")
+    return Fraction(text)
+
+
 def as_rational(x) -> Fraction:
     """Exact conversion of ints, Fractions and 'p/q'/decimal strings."""
     if isinstance(x, Fraction):
@@ -70,8 +88,8 @@ def as_rational(x) -> Fraction:
         return Fraction(x)
     if isinstance(x, str):
         try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
+            return parse_rational(x)
+        except (ValueError, ArithmeticError) as exc:
             raise ValidationError(f"not a rational literal: {x!r}") from exc
     raise ValidationError(f"not an exact rational: {x!r} (floats are rejected)")
 
@@ -81,11 +99,14 @@ def as_value(x) -> Value:
 
     Ints, Fractions and numeric strings become 1-dimensional numeric
     values; sequences of those become numeric vectors; any other string
-    is an opaque symbol.
+    is an opaque symbol; a decimal exponent beyond the bound of
+    :func:`parse_rational` raises.
     """
     if isinstance(x, str):
         try:
-            return (Fraction(x),)
+            return (parse_rational(x),)
+        except OverflowError as exc:
+            raise ValidationError(str(exc)) from exc
         except (ValueError, ZeroDivisionError):
             return x
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
@@ -403,6 +424,8 @@ class CredalSet:
                 raise ValidationError("vertex form must be non-empty")
             if len(set(self.vertices)) != len(self.vertices):
                 raise ValidationError("vertex form must list distinct vertices")
+            if any(p.space.atoms != self.space.atoms for p in self.vertices):
+                raise ValidationError("vertex form must lie on the credal set's outcome space")
 
     @classmethod
     def from_vertices(cls, vertices: Iterable[Pmf]) -> "CredalSet":

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from ._linalg import integer_row
 from .core import (
     CredalSet,
     Pmf,
@@ -27,7 +26,16 @@ from .core import (
     value_sort_key,
 )
 from .errors import InfiniteLoss, ValidationError
-from .safety import Linear, Verdict, equal, first_failure, require_unique
+from .safety import (
+    LEFT_AVERAGE,
+    RIGHT_SQUARE,
+    Verdict,
+    equal,
+    first_failure,
+    notion_residuals,
+    require_one_space,
+    require_unique,
+)
 
 ZERO_ONE = "zero_one"
 BRIER = "brier"
@@ -196,6 +204,7 @@ def check_decision_safety(
     conditional expected loss at v0. Exact rational comparison except for
     the log score, compared to within 1e-12.
     """
+    require_one_space(u, v, ptilde, credal)
     verts = require_unique(ptilde, v, credal)
     table, policy, cost, believed, losses = _compile_policy(ptilde, u, v, loss)
     notes: list[str] = []
@@ -216,27 +225,23 @@ def check_decision_safety(
                 f"outcome {format_value(uu)}"
             )
 
-    atoms = ptilde.space.atoms
+    atoms, n = ptilde.space.atoms, len(losses)
     infinite = [i for i, c in enumerate(losses) if c == math.inf]
+    finite = [0 if c == math.inf else c for c in losses]
     residuals = []
     if infinite:  # any mass on these atoms makes the realized loss infinite
         residuals.append(equal(
-            Linear.mass(infinite), Linear({}),
+            [int(c == math.inf) for c in losses], [0] * n,
             error=lambda p: InfiniteLoss(
                 f"realized loss infinite at atom "
                 f"{next(atoms[i] for i in infinite if p.weights[atoms[i]])!r} "
                 "under a credal vertex"),
-            rows=([int(c == math.inf) for c in losses], None),
         ))
-    actual = Linear({i: c for i, c in enumerate(losses) if c != math.inf})
-    finite = [0 if c == math.inf else c for c in losses]
-    for vv, b in believed.items():
-        if loss.kind == LOG:
-            residuals.append(equal(actual, Linear({}, b), v=vv, tol=LOG_TOLERANCE))
-        else:  # the realized loss minus b is sum_i (finite_i - b) P(i): the atoms sum to 1
-            *scaled, sb = integer_row([*finite, b])
-            residuals.append(equal(actual, Linear({}, b), v=vv,
-                                   rows=([c - sb for c in scaled], None)))
+    if loss.kind == LOG:
+        residuals += [equal(finite, b, v=vv, tol=LOG_TOLERANCE) for vv, b in believed.items()]
+    else:  # the realized loss's mean must be the believed loss at every v0: <loss>|[V]
+        realized = Rv.generalized(ptilde.space, "loss", {z: (c,) for z, c in zip(atoms, finite)})
+        residuals += notion_residuals(LEFT_AVERAGE, RIGHT_SQUARE, realized, v, ptilde)
     ce = first_failure(residuals, verts)
     return Verdict(holds=ce is None, counterexample=ce, notes=tuple(notes))
 
@@ -248,9 +253,9 @@ def decision_loss_table(
     expected losses per credal vertex, for reporting alongside
     :func:`check_decision_safety`."""
     _, policy, _, believed, losses = _compile_policy(ptilde, u, v, loss)
-    actual = Linear(dict(enumerate(losses)))
+    xs = [p.as_tuple() for p in credal.vertex_list()]
     return {"policy": policy, "believed": believed,
-            "actual": [actual.at(p.as_tuple()) for p in credal.vertex_list()]}
+            "actual": [sum(c * x[i] for i, c in enumerate(losses) if x[i]) for x in xs]}
 
 
 def gamble_demo(theta_bar: float, n: int, samples: int, seed: int) -> dict:

@@ -41,13 +41,13 @@ from .errors import (
 from .safety import (
     LEFT_FULL,
     RIGHT_SQUARE,
-    Linear,
     SafetyQuery,
     Verdict,
+    atom_row,
     check_safety,
     equal,
     first_failure,
-    scaled_row,
+    require_one_space,
     stratify,
 )
 
@@ -87,17 +87,15 @@ def _law_residuals(pivot: dict, ints: Sequence[int], cells: Mapping) -> list:
     """P(T = t, C = c) = law(t) * P(C = c) for every cell c (atom indices)
     and pivot value t, where ``pivot`` maps atom indices to pivot values
     and law(t) = count(t) / total is the pivot's law under the integer
-    weights ``ints`` on its atoms; printed as conditional probabilities
-    given the cell."""
+    weights ``ints`` on its atoms, written with the scale ``total``;
+    printed as conditional probabilities given the cell."""
     counts = dict.fromkeys(sorted(set(pivot.values()), key=value_sort_key), 0)
     for i, t in pivot.items():
         counts[t] += ints[i]
-    total = sum(counts.values())
-    hits = {t: {i: int(pt == t) for i, pt in pivot.items()} for t in counts}
+    total, n = sum(counts.values()), len(ints)
     return [
-        equal(Linear({i: 1 for i in idx if pivot[i] == t}),
-              Linear.mass(idx, Fraction(counts[t], total)), v=c, u=t, denom=Linear.mass(idx),
-              rows=(scaled_row(hits[t], total, counts[t], idx, len(ints)), None))
+        equal(atom_row(total, [i for i in idx if pivot[i] == t], n), atom_row(counts[t], idx, n),
+              scale=total, v=c, u=t, denom=idx)
         for c, idx in cells.items() for t in counts
     ]
 
@@ -146,6 +144,7 @@ def check_pivot(spec: PivotSpec, u: Rv, v: Rv, credal: CredalSet) -> PivotVerdic
     the target per conditioning value, and credal agreement on the
     induced law. Simple additionally means each per-value map is onto the
     whole pivot range."""
+    require_one_space(u, v, credal)
     return _check_pivot_on(spec, u, v, credal.vertex_list(), range(len(u.space)))[0]
 
 
@@ -167,6 +166,7 @@ def check_pivotal_safety(
     A counterexample names the pragmatic distribution or the first
     credal vertex, conditioned on the stratum when ``w`` is given.
     """
+    require_one_space(u, v, w, ptilde, credal)
     if support(ptilde, v) != set(v.range()):
         raise NotFullSupport(
             f"{v.name} lacks full support under the pragmatic distribution"

@@ -25,18 +25,15 @@ Each exact notion is therefore compiled once per query, from the
 pragmatic distribution alone, to an ordered list of :class:`Residual`
 conditions lo(P) <= lhs(P) <= hi(P) on the atom probabilities, and one
 evaluator, :func:`first_failure`, scans them against the vertices. The
-calibration, decision and pivot checks compile to the same form. Every
-exact residual carries integer rows built from integer weights, mostly
-by :func:`scaled_row`; only the log-score decision check compares floats
-within a tolerance. The full-distribution range notion (``dist-range``)
-is the one non-linear check: it tests convex-hull membership of each
-vertex's target law. Its hull is compiled once per query (per stratum)
-from the pragmatic conditionals' integer sums, as gcd-reduced integer
-columns without repeats and their rank, and each vertex's integer
-target law is tested as a point of the cone they span: with positive
-sums throughout, cone and convex-hull membership agree, and every basis
-system is the convex-combination system up to positive scaling (see
-:func:`hull_membership`).
+calibration, decision and pivot checks compile to the same form: lhs,
+lo and hi are integer rows over the atoms times one positive scale, the
+signs of lhs - lo and hi - lhs on a vertex's integer weights decide it,
+and a counterexample's values are read off the same weights exactly.
+Only the log-score decision check is a float form, compared within a
+tolerance. The full-distribution range notion (``dist-range``) is the
+one non-linear check: each vertex's integer target law must lie in the
+cone of the pragmatic conditionals' integer laws, compiled once per
+query and stratum (see :func:`hull_membership`).
 
 An optional stratifier W turns a query into its per-stratum version: for
 every vertex-supported w the residuals are compiled from the pragmatic
@@ -56,9 +53,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from ._linalg import UNIQUE, matrix_rank, solve_linear
 from .core import (
@@ -117,11 +114,7 @@ class SafetyQuery:
             raise ValidationError(f"unknown left mode {self.left_mode!r}")
         if self.right_mode not in (RIGHT_PLAIN, RIGHT_ANGLE, RIGHT_SQUARE, RIGHT_DBLSQUARE):
             raise ValidationError(f"unknown right mode {self.right_mode!r}")
-        atoms = self.target.space.atoms
-        if self.conditioner.space.atoms != atoms or (
-            self.stratifier is not None and self.stratifier.space.atoms != atoms
-        ):
-            raise ValidationError("query variables must share one outcome space")
+        require_one_space(self.target, self.conditioner, self.stratifier)
 
 
 @dataclass(frozen=True)
@@ -204,47 +197,47 @@ def hull_membership(point: Sequence[int], hull: Hull) -> bool:
     return False
 
 
-class Linear(NamedTuple):
-    """The functional sum_i coeffs[i] * P(atom i) + const, keyed by atom index."""
-
-    coeffs: Mapping[int, object]
-    const: object = 0
-
-    @classmethod
-    def mass(cls, idx: Sequence[int], c=1) -> Linear:
-        """c * P(atoms ``idx``): the coefficient c on each of them."""
-        return cls(dict.fromkeys(idx, c))
-
-    def at(self, x: Sequence):
-        """Value at the weight vector ``x``."""
-        return self.const + sum(c * x[i] for i, c in self.coeffs.items() if x[i])
-
-
 @dataclass(frozen=True)
 class Residual:
     """One condition lo(P) <= lhs(P) <= hi(P), an equality when ``lo is hi``.
 
-    ``v`` and ``u`` label its counterexample, which reports the values of
-    ``lhs`` and of the violated bound divided by ``denom`` (by 1 when None).
-    ``tol`` compares float values within an additive tolerance instead of
-    exactly; ``error`` makes a failure raise ``error(vertex)`` instead of
-    yielding a counterexample. ``rows`` holds ``lhs - lo`` and ``hi - lhs``
-    (None for an equality) as integer rows over the atoms, each up to a
-    positive factor; it is None only for a ``tol`` residual."""
+    ``lhs``, ``lo`` and ``hi`` are integer rows over the atoms, each the
+    functional times one ``scale`` > 0 (a constant c is c * P(all atoms));
+    ``rows`` holds ``lhs - lo`` and ``hi - lhs`` (None for an equality).
+    ``v`` and ``u`` label the counterexample: the values of ``lhs`` and of
+    the violated bound divided by P(atoms ``denom``), by 1 when None.
+    ``error`` makes an exact failure raise ``error(vertex)`` instead. With
+    ``tol`` the residual is the float form: float coefficients in ``lhs``,
+    the float claim as ``lo`` and ``hi``, compared within ``tol``, no rows."""
 
-    lhs: Linear
-    lo: Linear
-    hi: Linear
+    lhs: Sequence
+    lo: object
+    hi: object
+    scale: int = 1
     v: object = None
     u: object = None
-    denom: Optional[Linear] = None
+    denom: Optional[Sequence[int]] = None
     tol: Optional[float] = None
     error: Optional[Callable[[Pmf], Exception]] = None
-    rows: Optional[tuple] = None
+    rows: Optional[tuple] = field(default=None, init=False)
+
+    def __post_init__(self):
+        if self.tol is None:
+            object.__setattr__(self, "rows", (
+                list(map(operator.sub, self.lhs, self.lo)),
+                None if self.lo is self.hi else list(map(operator.sub, self.hi, self.lhs))))
 
 
-def equal(lhs: Linear, rhs: Linear, **labels) -> Residual:
+def equal(lhs, rhs, **labels) -> Residual:
     return Residual(lhs, rhs, rhs, **labels)
+
+
+def atom_row(c, idx: Sequence[int], n: int, coef=None) -> list:
+    """c * coef (c alone without coef) on the atoms ``idx``, 0 on the others of the ``n``."""
+    out = [0] * n
+    for i in idx:
+        out[i] = c if coef is None else c * coef[i]
+    return out
 
 
 @dataclass(frozen=True)
@@ -258,16 +251,6 @@ class HullTest:
     hull: Hull
 
 
-def scaled_row(icoef, t: int, b: int, idx: Sequence[int], n: int) -> list[int]:
-    """``t * icoef - b`` on the atoms ``idx``, 0 on the others of the ``n``:
-    for coefficients c with d * c = ``icoef``, a mass t > 0 and a sum b,
-    d * t * (c - claim) for the claim b / (d * t)."""
-    out = [0] * n
-    for i in idx:
-        out[i] = t * icoef[i] - b
-    return out
-
-
 def _dot(row: list[int], ints: Sequence[int]) -> int:
     return sum(map(operator.mul, row, ints))
 
@@ -276,32 +259,39 @@ def first_failure(residuals: Sequence, vertices: Sequence[Pmf]) -> Optional[Coun
     """The evaluator: the first failing residual, scanning ``vertices`` in
     order and each vertex's residuals in order.
 
-    Exact residuals are decided by the signs of their integer rows on the
-    vertex's integer weights, and the hull test on the integer law of the
-    target; the counterexample's values are computed exactly once a
-    residual fails. Its ``w`` is left for the caller to set.
+    Exact residuals are decided by the signs of their rows on the vertex's
+    integer weights w, and a failing one's values are read off w exactly:
+    ``lhs . w / (scale * sum of w on denom)``, likewise the bound. A float
+    residual sums coefficient times weight in atom order, skipping zero
+    weights; the hull test runs on the integer law of the target. The
+    counterexample's ``w`` is left for the caller to set.
     """
     for p in vertices:
-        x, ints = p.as_tuple(), p.integer_weights()
+        ints = p.integer_weights()
         for r in residuals:
             if isinstance(r, HullTest):
                 if not hull_membership([sum(ints[i] for i in idx) for idx in r.cells], r.hull):
                     return Counterexample(vertex=p)
                 continue
-            row = r.rows
-            if row is None:
-                bound = r.lo if abs(r.lhs.at(x) - r.lo.at(x)) > r.tol else None
-            elif row[1] is None:
-                bound = r.lo if _dot(row[0], ints) else None
+            rows = r.rows
+            if rows is None:  # the float form
+                x = p.as_tuple()
+                lhs = sum(c * x[i] for i, c in enumerate(r.lhs) if x[i])
+                if abs(lhs - r.lo) > r.tol:
+                    return Counterexample(vertex=p, v=r.v, u=r.u, lhs=lhs, rhs=r.lo)
+                continue
+            if rows[1] is None:
+                bound = r.lo if _dot(rows[0], ints) else None
             else:
-                bound = (r.lo if _dot(row[0], ints) < 0
-                         else r.hi if _dot(row[1], ints) < 0 else None)
+                bound = (r.lo if _dot(rows[0], ints) < 0
+                         else r.hi if _dot(rows[1], ints) < 0 else None)
             if bound is not None:
                 if r.error is not None:
                     raise r.error(p)
-                denom = Fraction(1) if r.denom is None else r.denom.at(x)
+                total = r.scale * sum(ints if r.denom is None else [ints[i] for i in r.denom])
                 return Counterexample(vertex=p, v=r.v, u=r.u,
-                                      lhs=r.lhs.at(x) / denom, rhs=bound.at(x) / denom)
+                                      lhs=Fraction(_dot(r.lhs, ints), total),
+                                      rhs=Fraction(_dot(bound, ints), total))
     return None
 
 
@@ -322,6 +312,14 @@ def stratify(w: Rv, values: Sequence, vertices: Sequence[Pmf], notes: list):
             notes.append(f"stratum {w.name}={format_value(wv)}: "
                          f"skipped {len(vertices) - len(kept)} zero-mass vertex(es)")
         yield wv, stratum, kept
+
+
+def require_one_space(*objects) -> None:
+    """Raise ValidationError unless the non-None ``objects`` (variables,
+    pmfs, credal sets) all have the atoms of the first, by value."""
+    atoms = objects[0].space.atoms
+    if any(obj is not None and obj.space.atoms != atoms for obj in objects[1:]):
+        raise ValidationError("variables, pmfs and credal sets must share one outcome space")
 
 
 def require_unique(ptilde: Pmf, v: Rv, credal: CredalSet) -> tuple[Pmf, ...]:
@@ -346,9 +344,9 @@ def notion_residuals(
     Counterexample values print divided by the stratum's mass, and
     average-mode values per conditioning value (``sqerr``) by P(V = v, W = w).
     Full-distribution ``dblsquare`` compiles to a single :class:`HullTest`,
-    whose hull is compiled from the per-value integer sums.
-    Each residual carries its integer rows, built from the pragmatic
-    distribution's integer weights.
+    whose hull is compiled from the per-value integer sums. The others
+    write a claim b / (d * t) with the scale d * t (or d * an lcm of such
+    t), making no ``Fraction`` but to pick a bracket's ends.
     """
     ints = ptilde.integer_weights()
     n = len(ints)
@@ -362,10 +360,9 @@ def notion_residuals(
     mass = [sum(ints[i] for i in idx) for _, idx in supported]
 
     # one component per target value (full) or coordinate (average):
-    # (counterexample label, coefficient per atom, the same times some
-    # d > 0 as integers, per supported value the sum of those integers
-    # times the integer weights, and per supported value the pragmatic
-    # claim sum / (d * mass))
+    # (counterexample label, its coefficient per atom times some d > 0 as
+    # integers, that d, and per supported value the sum of those integers
+    # times the integer weights, b, making the pragmatic claim b / (d * mass))
     components = []
     if left == LEFT_FULL:
         u_range, uk = u.range(), u.codes()
@@ -379,55 +376,48 @@ def notion_residuals(
             return [HullTest(cells=[[i for i in atoms if uk[i] == k] for k in range(len(u_range))],
                              hull=compile_hull(per_value))]
         for k, uv in enumerate(u_range):
-            coef = [int(j == k) for j in uk]
-            components.append((uv, coef, coef, 1, [sums[k] for sums in per_value]))
+            components.append((uv, [int(j == k) for j in uk], 1, [sums[k] for sums in per_value]))
     else:
         ut = [u.table[z] for z in ptilde.space.atoms]
         for j in range(len(ut[0])):
             coef = [t[j] for t in ut]
             d = math.lcm(*(c.denominator for c in coef))
             icoef = [c.numerator * (d // c.denominator) for c in coef]
-            components.append((None, coef, icoef, d,
+            components.append((None, icoef, d,
                                [sum(ints[i] * icoef[i] for i in idx) for _, idx in supported]))
-    components = [(label, coef, icoef, sums, [Fraction(b, d * t) for b, t in zip(sums, mass)])
-                  for label, coef, icoef, d, sums in components]
 
-    def part(coef, idx):
-        return Linear({i: coef[i] for i in idx if coef[i]})
-
-    stratum_mass = None if stratum is None else Linear.mass(stratum)
     if right in (RIGHT_PLAIN, RIGHT_SQUARE):
         plain = right == RIGHT_PLAIN
         out = []
         for s, (val, idx) in enumerate(supported):
             scope = idx if plain else atoms
-            denom = Linear.mass(idx) if plain and left == LEFT_AVERAGE else stratum_mass
-            out += [equal(part(coef, scope), Linear.mass(scope, claims[s]), v=val, u=label,
-                          denom=denom, rows=(scaled_row(icoef, mass[s], sums[s], scope, n), None))
-                    for label, coef, icoef, sums, claims in components]
+            denom = idx if plain and left == LEFT_AVERAGE else stratum
+            out += [equal(atom_row(mass[s], scope, n, icoef), atom_row(sums[s], scope, n),
+                          scale=d * mass[s], v=val, u=label, denom=denom)
+                    for label, icoef, d, sums in components]
         return out
     if right == RIGHT_ANGLE:
         common = math.lcm(*mass)
         out = []
-        for label, coef, icoef, sums, claims in components:
-            diff = scaled_row(icoef, common, 0, atoms, n)
+        for label, icoef, d, sums in components:
+            claim = [0] * n
             for (_, idx), t, b in zip(supported, mass, sums):
                 b *= common // t
                 for i in idx:
-                    diff[i] -= b
-            out.append(equal(part(coef, atoms),
-                             Linear({i: c for (_, idx), c in zip(supported, claims) for i in idx}),
-                             u=label, denom=stratum_mass, rows=(diff, None)))
+                    claim[i] = b
+            out.append(equal(atom_row(common, atoms, n, icoef), claim,
+                             scale=d * common, u=label, denom=stratum))
         return out
     out = []  # RIGHT_DBLSQUARE, average: the bracket of the conditional means
-    for label, coef, icoef, sums, claims in components:
+    for label, icoef, d, sums in components:
+        claims = [Fraction(b, t) for b, t in zip(sums, mass)]
         lo = min(range(len(claims)), key=claims.__getitem__)
         hi = max(range(len(claims)), key=claims.__getitem__)
-        out.append(Residual(
-            part(coef, atoms), Linear.mass(atoms, claims[lo]), Linear.mass(atoms, claims[hi]),
-            u=label, denom=stratum_mass,
-            rows=(scaled_row(icoef, mass[lo], sums[lo], atoms, n),
-                  scaled_row(icoef, -mass[hi], -sums[hi], atoms, n))))
+        common = math.lcm(mass[lo], mass[hi])
+        out.append(Residual(atom_row(common, atoms, n, icoef),
+                            atom_row(sums[lo] * (common // mass[lo]), atoms, n),
+                            atom_row(sums[hi] * (common // mass[hi]), atoms, n),
+                            scale=d * common, u=label, denom=stratum))
     return out
 
 
@@ -439,6 +429,7 @@ def check_safety(query: SafetyQuery, ptilde: Pmf, credal: CredalSet) -> Verdict:
     NonNumericTarget for average-mode queries on non-numeric targets.
     """
     u, v, w = query.target, query.conditioner, query.stratifier
+    require_one_space(u, ptilde, credal)
     if query.left_mode == LEFT_AVERAGE and not u.is_numeric:
         raise NonNumericTarget(f"average-mode query needs a numeric target, got {u.name!r}")
     verts = require_unique(ptilde, joint_rv(v, w) if w is not None else v, credal)

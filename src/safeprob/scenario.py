@@ -29,6 +29,7 @@ from .core import (
     OutcomeSpace,
     Pmf,
     Rv,
+    as_rational,
     as_value,
     format_value,
     value_sort_key,
@@ -69,18 +70,14 @@ def _object(raw, context: str) -> dict:
 
 
 def _exact_number(raw, context: str) -> Fraction:
-    if isinstance(raw, bool) or isinstance(raw, float):
-        raise ValidationError(
-            f"{context}: use integers or 'p/q'/decimal strings, not {raw!r}"
-        )
-    if isinstance(raw, int):
-        return Fraction(raw)
-    if isinstance(raw, str):
-        try:
-            return Fraction(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"{context}: not an exact number: {raw!r}") from exc
-    raise ValidationError(f"{context}: expected a number, got {raw!r}")
+    if isinstance(raw, (bool, float)):
+        raise ValidationError(f"{context}: use integers or 'p/q'/decimal strings, not {raw!r}")
+    if not isinstance(raw, (int, str)):
+        raise ValidationError(f"{context}: expected a number, got {raw!r}")
+    try:
+        return as_rational(raw)
+    except ValidationError as exc:
+        raise ValidationError(f"{context}: not an exact number: {raw!r}") from exc
 
 
 def _value_literal(raw, context: str):

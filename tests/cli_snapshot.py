@@ -14,17 +14,21 @@ The list covers, on every bundled scenario file:
 plus the three ``demo``s and one short ``coverage`` run, each as text
 and with ``--json``, and the printed output of every ``demos/*.py``
 script of the checkout whose ``safeprob`` is imported, keyed by its path
-relative to that checkout and run in-process as ``__main__``. Scenario
-files are named relative to the bundled scenario directory, so the
-output does not depend on where the checkout lives. Usage, from the root
-of a checkout::
+relative to that checkout and run in-process as ``__main__``. The same
+scenario invocations also run on the files in ``scenarios/`` next to
+this script, which cover what the bundled files lack: vector and symbol
+targets, and credal sets given by their vertices. Scenario files are
+named relative to their directory, so the output does not depend on
+where the checkout lives, and the extra files come with this script, so
+an older ``safeprob`` on ``PYTHONPATH`` runs them too. Usage, from the
+root of a checkout::
 
     PYTHONPATH=src python tests/cli_snapshot.py new.json
     PYTHONPATH=/path/to/other/checkout/src python tests/cli_snapshot.py old.json
     diff old.json new.json
 
 ``--scn NAME`` (repeatable) limits the scenario invocations to the named
-bundled files. ``--compare OLD.json`` also reads an earlier snapshot and
+files. ``--compare OLD.json`` also reads an earlier snapshot and
 prints the argv of each invocation whose entry differs from it or is
 only in one of the two, one a line; the exit code is then 1 when any
 does::
@@ -50,6 +54,7 @@ from safeprob.cli import NOTIONS, main
 from safeprob.scenario import parse_scenario
 
 SCENARIO_DIR = Path(safeprob.__file__).resolve().parent / "scenarios"
+EXTRA_DIR = Path(__file__).resolve().parent / "scenarios"
 DEMO_DIR = Path(safeprob.__file__).resolve().parents[2] / "demos"
 UNKNOWN = "NO_SUCH_RV"
 
@@ -81,11 +86,14 @@ def scenario_argvs(name: str) -> list[list[str]]:
     return argvs
 
 
-def all_argvs(names: list[str]) -> list[list[str]]:
+def all_argvs(names: list[str], commands: bool = True) -> list[list[str]]:
+    """The scenario invocations on ``names``, then (with ``commands``) the
+    demos and the coverage run, each as text and with ``--json``."""
     argvs = [argv for name in names for argv in scenario_argvs(name)]
-    argvs += [["demo", name] for name in ("dilation", "monty-hall", "gamble")]
-    argvs.append(["coverage", "--family", "normal", "--n", "1", "--theta0", "0.0",
-                  "--a", "0.1", "--b", "0.9", "--samples", "2000", "--seed", "3"])
+    if commands:
+        argvs += [["demo", name] for name in ("dilation", "monty-hall", "gamble")]
+        argvs.append(["coverage", "--family", "normal", "--n", "1", "--theta0", "0.0",
+                      "--a", "0.1", "--b", "0.9", "--samples", "2000", "--seed", "3"])
     return argvs + [argv + ["--json"] for argv in argvs]
 
 
@@ -105,9 +113,13 @@ def run_demo(path: Path) -> list:
 
 def snapshot(names: list[str]) -> dict:
     here = os.getcwd()
-    os.chdir(SCENARIO_DIR)
+    entries = {}
     try:
-        entries = {" ".join(argv): run(argv) for argv in all_argvs(names)}
+        for directory in (SCENARIO_DIR, EXTRA_DIR):
+            os.chdir(directory)
+            chosen = [name for name in names if (directory / name).is_file()]
+            argvs = all_argvs(chosen, commands=directory == SCENARIO_DIR)
+            entries.update((" ".join(argv), run(argv)) for argv in argvs)
         for path in sorted(DEMO_DIR.glob("*.py")):  # none when the checkout has no demos
             entries[f"demos/{path.name}"] = run_demo(path)
         return entries
@@ -130,11 +142,12 @@ def main_snapshot(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("output")
     parser.add_argument("--scn", action="append", metavar="NAME",
-                        help="bundled scenario file to include (default: all)")
+                        help="scenario file to include (default: all)")
     parser.add_argument("--compare", metavar="OLD.json",
                         help="list the invocations that differ from this snapshot")
     args = parser.parse_args(argv)
-    names = args.scn or sorted(p.name for p in SCENARIO_DIR.glob("*.scn"))
+    names = args.scn or [p.name for directory in (SCENARIO_DIR, EXTRA_DIR)
+                         for p in sorted(directory.glob("*.scn"))]
     entries = snapshot(names)
     write(entries, args.output)
     if args.compare is None:

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -14,6 +15,8 @@ from safeprob.core import (
     OutcomeSpace,
     Pmf,
     Rv,
+    as_rational,
+    as_value,
     condition,
     conditional_table,
     determines,
@@ -106,6 +109,33 @@ class TestRv:
         x = Rv(space, "X", {"a": [1, "1/2"], "b": [0, 0]})
         assert x.is_numeric
         assert x.table["a"] == (Fraction(1), Fraction(1, 2))
+
+
+class TestDecimalExponents:
+    """A decimal exponent is bounded like an int string, by 4300 digits
+    here: ``Fraction`` would build 10 to its power."""
+
+    @pytest.fixture(autouse=True)
+    def limit(self):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(saved)
+
+    @pytest.mark.parametrize("text", ["1e4300", "-2.5E-4300", "1e+4_300"])
+    def test_exponent_at_the_limit_is_read(self, text):
+        assert as_rational(text) == Fraction(text)
+        assert as_value(text) == (Fraction(text),)
+
+    @pytest.mark.parametrize("text", ["1e4301", "-2.5E-4301", "1e100000000"])
+    def test_exponent_beyond_the_limit_is_rejected(self, text):
+        with pytest.raises(ValidationError, match="^not a rational literal"):
+            as_rational(text)
+        with pytest.raises(ValidationError, match="exceeds the limit"):
+            as_value(text)
+
+    def test_symbols_with_an_e_stay_symbols(self):
+        assert as_value("xe99999") == "xe99999"
 
 
 class TestEnumerateVertices:
@@ -367,6 +397,14 @@ class TestCredalSet:
         p = Pmf.point_mass(space, "a")
         with pytest.raises(ValidationError):
             CredalSet.from_vertices([p, p])
+
+    @pytest.mark.parametrize("atoms", [["x", "y"], ["x"]])
+    def test_vertex_form_on_one_space(self, atoms):
+        space, other = OutcomeSpace(["a", "b"]), OutcomeSpace(atoms)
+        with pytest.raises(ValidationError, match="outcome space"):
+            CredalSet.from_vertices([Pmf.point_mass(space, "a"), Pmf.point_mass(other, "x")])
+        with pytest.raises(ValidationError, match="outcome space"):
+            CredalSet(space, vertices=(Pmf.point_mass(other, "x"),))
 
     def test_polytope_vertex_list(self):
         space = OutcomeSpace(["a", "b"])

@@ -3,13 +3,19 @@ loops it replaced (kept in ``oracles``).
 
 Every exact notion is decided on random vertex-form instances by both
 implementations; the whole verdict (``holds``, every counterexample
-field with its type, ``notes``) or the raised exception must agree.
+field with its type, ``notes``) or the raised exception must agree. The
+implementation decides each residual on the signs of its integer rows
+and reads the counterexample values off the same integer weights; the
+oracles compute them with ``Fraction`` arithmetic on the weights. Some
+instances add mixtures of the vertices as members, so both also meet
+points between vertices.
 
 One metamorphic property pins the stratified contract on the same
 instances: a check stratified by W reports what the unstratified check
 reports on the instance conditioned on its first failing stratum. One
-more pins the compiled form itself: every integer row has the sign of
-the functional it stands for, at the vertices and between them.
+more pins the compiled form itself: every exact residual is int rows
+lhs, lo and hi over the atoms with a positive int scale, and its rows
+are lhs - lo and, for a bracket, hi - lhs.
 """
 
 from __future__ import annotations
@@ -90,13 +96,16 @@ def _labels(n):
 
 @st.composite
 def instances(draw, full_support=False, coarse_w=False):
-    """Small vertex-form instance: target U (integer, vector or symbol
-    valued), conditioner V, stratifier W (a function of V when
-    ``coarse_w``), a pragmatic distribution and one to four vertices.
+    """Small vertex-form instance: target U (integer, vector with a
+    fractional first coordinate, or symbol valued), conditioner V,
+    stratifier W (a function of V when ``coarse_w``), a pragmatic
+    distribution and one to four vertices.
 
     Vertices are random, or keep the pragmatic conditionals given V, or
     keep the pragmatic law of U, so that every notion both holds and
-    fails on some draws."""
+    fails on some draws. On some draws the 1/3-mixture of each vertex
+    with the next (the last with the pragmatic distribution) joins the
+    members, so that the checks also meet points between vertices."""
     n = draw(st.integers(3, 7))
     atoms = [f"z{i}" for i in range(n)]
     space = OutcomeSpace(atoms)
@@ -105,7 +114,7 @@ def instances(draw, full_support=False, coarse_w=False):
     if kind == "int":
         utable = dict(zip(atoms, labels))
     elif kind == "vector":
-        utable = {z: (k, (k * k) % 3) for z, k in zip(atoms, labels)}
+        utable = {z: (Fraction(k * k % 3, 2) - Fraction(1, 3), k) for z, k in zip(atoms, labels)}
     else:
         utable = {z: "abc"[k] for z, k in zip(atoms, labels)}
     u = Rv(space, "U", utable)
@@ -147,6 +156,11 @@ def instances(draw, full_support=False, coarse_w=False):
             vertices.append(p)
     if not vertices:
         vertices.append(ptilde)
+    if draw(st.booleans()):  # members between the vertices too
+        for p, q in zip(list(vertices), [*vertices[1:], ptilde]):
+            between = mix(p, q, Fraction(1, 3))
+            if between not in vertices:
+                vertices.append(between)
     return u, v, w, ptilde, CredalSet.from_vertices(vertices)
 
 
@@ -168,10 +182,6 @@ def test_safety_modes_stratified(inst):
         query = SafetyQuery(u, left, v, right, stratifier=w)
         assert outcome(check_safety, query, ptilde, credal) == \
             outcome(oracles.check_safety, query, ptilde, credal), (left, right)
-
-
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
 
 
 def _compiled(u, v, w, ptilde):
@@ -197,19 +207,19 @@ def _compiled(u, v, w, ptilde):
 
 @given(instances())
 @SETTINGS
-def test_rows_have_the_signs_of_their_functionals(inst):
-    """row_0 . ints has the sign of lhs - lo, and for a bracket row_1 . ints
-    that of hi - lhs, at every vertex and at mixtures of them."""
-    u, v, w, ptilde, credal = inst
-    verts = credal.vertex_list()
-    pmfs = [*verts, *(mix(p, q, Fraction(1, 3)) for p, q in zip(verts, [*verts[1:], ptilde]))]
+def test_compiled_residuals_are_integer_rows_over_a_scale(inst):
+    """lhs, lo, hi and the rows are int lists over the atoms, the scale a
+    positive int, and the rows are lhs - lo and (for a bracket) hi - lhs."""
+    u, v, w, ptilde, _ = inst
+    n = len(ptilde.space)
     for r in _compiled(u, v, w, ptilde):
-        for p in pmfs:
-            x, ints = p.as_tuple(), p.integer_weights()
-            dot = [None if row is None else sum(map(int.__mul__, row, ints)) for row in r.rows]
-            assert _sign(dot[0]) == _sign(r.lhs.at(x) - r.lo.at(x)), (r.v, r.u)
-            if r.lo is not r.hi:
-                assert _sign(dot[1]) == _sign(r.hi.at(x) - r.lhs.at(x)), (r.v, r.u)
+        label = (r.v, r.u)
+        assert type(r.scale) is int and r.scale > 0, label
+        rows = [row for row in r.rows if row is not None]
+        for row in (r.lhs, r.lo, r.hi, *rows):
+            assert len(row) == n and all(type(c) is int for c in row), label
+        assert r.rows[0] == [a - b for a, b in zip(r.lhs, r.lo)], label
+        assert r.rows[1] == (None if r.lo is r.hi else [b - a for a, b in zip(r.lhs, r.hi)]), label
 
 
 def _first_failing_stratum(u, v, w, ptilde, credal, left, right):

@@ -14,7 +14,10 @@ from safeprob.demos import (
     monty_events,
     monty_scenario,
 )
-from safeprob.errors import NonNumericTarget, NotEssentiallyUnique
+from safeprob.calibration import check_calibrated_full, check_calibrated_mean
+from safeprob.decisions import ZERO_ONE, LossFunction, check_decision_safety
+from safeprob.errors import NonNumericTarget, NotEssentiallyUnique, ValidationError
+from safeprob.pivots import PivotSpec, check_pivot, check_pivotal_safety
 from safeprob.safety import (
     HIERARCHY_IMPLICATIONS,
     LEFT_AVERAGE,
@@ -151,6 +154,35 @@ class TestGuards:
         p = Pmf.uniform(space)
         credal = CredalSet.from_vertices([p])
         assert check_safety(SafetyQuery(u, LEFT_FULL, v, RIGHT_PLAIN), p, credal).holds
+
+    @pytest.mark.parametrize("atoms", [["w", "x", "y", "z"], ["w", "x", "y"]])
+    def test_checkers_reject_inputs_on_another_space(self, atoms):
+        """Every public checker raises ValidationError for a pragmatic
+        distribution or credal set on another space, of equal length or
+        shorter, and checks inputs on an equal space built anew."""
+        space = OutcomeSpace(["a", "b", "c", "d"])
+        u = Rv(space, "U", {"a": 0, "b": 1, "c": 0, "d": 1})
+        v = Rv(space, "V", {"a": 0, "b": 0, "c": 1, "d": 1})
+        spec = PivotSpec("T", {(u.table[z], v.table[z]): u.table[z] for z in space.atoms})
+        other = OutcomeSpace(atoms)
+        checkers = [
+            lambda pt, cs: check_safety(SafetyQuery(u, LEFT_FULL, v, RIGHT_PLAIN), pt, cs),
+            lambda pt, cs: check_calibrated_full(u, v, pt, cs),
+            lambda pt, cs: check_calibrated_mean(u, v, pt, cs),
+            lambda pt, cs: check_decision_safety(pt, u, v, LossFunction(ZERO_ONE), cs),
+            lambda pt, cs: check_pivot(spec, u, v, cs),
+            lambda pt, cs: check_pivotal_safety(pt, u, v, spec, cs),
+        ]
+        same = OutcomeSpace(space.atoms)  # spaces are compared by their atoms
+        own, own_set = Pmf.uniform(same), CredalSet.from_vertices([Pmf.uniform(same)])
+        for checker in checkers:
+            checker(own, own_set)
+            for pt, cs in ((Pmf.uniform(other), own_set),
+                           (own, CredalSet.from_vertices([Pmf(other, {"w": 1})]))):
+                if checker is checkers[4] and pt is not own:
+                    continue  # the pivot check takes no pragmatic distribution
+                with pytest.raises(ValidationError, match="share one outcome space"):
+                    checker(pt, cs)
 
 
 class TestHierarchyReport:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -219,6 +220,14 @@ class TestCli:
     def test_directory_exit_two(self, tmp_path, capsys):
         assert main(["check", str(tmp_path), "--u", "U", "--v", "V", "--notion", "valid"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_huge_decimal_exponent_exits_two_at_once(self, tmp_path, capsys):
+        doc = _with(VERTEX_DOC, ("rvs", "U", "a"), "1e100000000")
+        start = time.perf_counter()
+        code = main(["check", str(write(tmp_path, "huge.scn", doc)),
+                     "--u", "U", "--v", "V", "--notion", "valid"])
+        assert code == 2 and time.perf_counter() - start < 1
+        assert "exceeds the limit" in capsys.readouterr().err
 
     def test_usage_error_exit_two(self, capsys):
         assert main(["check"]) == 2
