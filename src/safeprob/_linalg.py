@@ -1,7 +1,8 @@
 """Exact Gauss-Jordan elimination on integers, fraction-free.
 
-Small dense systems only. ``solve_linear`` and ``matrix_rank`` both take
-integer rows; ``integer_row`` scales a ``Fraction`` row to one.
+Small dense systems only. ``solve_linear`` takes augmented integer rows
+and ``matrix_rank`` integer rows; ``integer_row`` scales a ``Fraction``
+row to one.
 Following Bareiss (1968), with pivot ``d`` in row ``r`` and ``prev`` the
 pivot used before it (1 at first), every other row, also one with a 0 in
 the pivot column, becomes ``(d*row_i - row_i[c]*row_r) // prev``: an
@@ -31,11 +32,13 @@ def integer_row(row) -> list[int]:
     return [v.numerator * (scale // v.denominator) for v in row]
 
 
-def _rref(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
+def _rref(rows: list, ncols: int) -> tuple[list[int], int]:
     """Reduce the integer ``rows`` in place over their first ``ncols``
     columns until each pivot column is zero outside its pivot row;
     returns the pivot columns and the last pivot (1 when there is none).
-    While ``prev`` is 1 the exact division by it is left out."""
+    Only the list ``rows`` changes: a row is replaced, never written to,
+    so the rows may be tuples. While ``prev`` is 1 the exact division by
+    it is left out."""
     nrows = len(rows)
     pivot_cols: list[int] = []
     prev = 1
@@ -70,18 +73,16 @@ def _rref(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
     return pivot_cols, prev
 
 
-def solve_linear(
-    a: list[list[int]], b: list[int]
-) -> tuple[str, list[int] | None, int | None]:
-    """Solve ``a @ x = b`` exactly, for integer ``a`` and ``b``.
+def solve_linear(aug: list) -> tuple[str, list[int] | None, int | None]:
+    """Solve ``a @ x = b`` exactly, given its augmented integer rows
+    ``[*a_row, b_i]``, which it reduces in place (see :func:`_rref`).
 
     Returns ``(status, nums, den)`` where status is one of UNIQUE,
     INCONSISTENT or UNDERDETERMINED. Only when it is unique, ``nums`` and
     ``den > 0`` are integers with ``x_i = nums[i] / den``; otherwise both
     are None. The system may be rectangular.
     """
-    ncols = len(a[0]) if a else 0
-    aug = [[*row, v] for row, v in zip(a, b)]
+    ncols = len(aug[0]) - 1 if aug else 0
     pivot_cols, den = _rref(aug, ncols)
     if any(row[ncols] for row in aug[len(pivot_cols):]):
         return INCONSISTENT, None, None

@@ -10,13 +10,17 @@ Both calibration checks are plain safety checks in disguise: full
 calibration is ``valid`` with the forecast map as conditioner, mean
 calibration ``sqerr`` with the conditional-mean map, and both compile to
 the residuals of :mod:`safeprob.safety`. Row equality is exact rational
-equality.
+equality, decided on the conditional table's integer sums: two
+conditioning values issue the same forecast when their sums agree up to
+a positive factor, so each distinct forecast row is encoded once and
+the forecast variable's values per atom come from integer codes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Optional
 
 from .core import (
@@ -69,10 +73,20 @@ class PredictedDistributionRv:
 def predicted_distribution_rv(
     ptilde: Pmf, u: Rv, v: Rv, name: Optional[str] = None
 ) -> PredictedDistributionRv:
+    """The forecast map. Conditioner values whose integer sums agree up
+    to a positive factor have the same row; each distinct row is encoded
+    once."""
     table = conditional_table(ptilde, u, v)
     label = name or f"pred({u.name}|{v.name})"
-    values = {z: encode_row(table.rows[v.table[z]]) for z in ptilde.space.atoms}
-    return PredictedDistributionRv(base=table, as_rv=Rv.generalized(ptilde.space, label, values))
+    encoded, code_of, forecast = [], {}, []
+    for row, sums in zip(table.rows.values(), table.sums):
+        g = gcd(*sums)
+        code = code_of.setdefault(tuple(c // g for c in sums), len(encoded))
+        if code == len(encoded):
+            encoded.append(encode_row(row))
+        forecast.append(code)
+    as_rv = Rv._coded(ptilde.space, label, encoded, [forecast[c] for c in v.codes()])
+    return PredictedDistributionRv(base=table, as_rv=as_rv)
 
 
 def check_calibrated_full(u: Rv, v: Rv, ptilde: Pmf, credal: CredalSet) -> Verdict:
@@ -94,12 +108,16 @@ def check_calibrated_mean(u: Rv, v: Rv, ptilde: Pmf, credal: CredalSet) -> Verdi
     if not u.is_numeric:
         raise NonNumericTarget(f"mean calibration needs a numeric target, got {u.name!r}")
     verts = require_unique(ptilde, v, credal)
-    # the pragmatic conditional mean at each supported value, coordinatewise
-    table = conditional_table(ptilde, u, v)
-    mean_at = {val: tuple(sum(col, Fraction(0))
-                          for col in zip(*([pr * c for c in uv] for uv, pr in row.items())))
-               for val, row in table.rows.items() if val not in table.arbitrary_rows}
-    mean_rv = v.compose(f"mean({u.name}|{v.name})", mean_at.get)
+    # the pragmatic conditional mean at each supported value, coordinatewise,
+    # from the integer sums per target value; each distinct mean gets one code
+    table, columns = conditional_table(ptilde, u, v), list(zip(*u.range()))
+    code_of: dict = {}
+    mean_of = [code_of.setdefault(None if val in table.arbitrary_rows else
+                                  tuple(sum(s * c for s, c in zip(sums, col)) / sum(sums)
+                                        for col in columns), len(code_of))
+               for val, sums in zip(table.rows, table.sums)]
+    mean_rv = Rv._coded(ptilde.space, f"mean({u.name}|{v.name})", list(code_of),
+                        [mean_of[c] for c in v.codes()])
     residuals = notion_residuals(LEFT_AVERAGE, RIGHT_PLAIN, u, mean_rv, ptilde)
     ce = first_failure([replace(r, denom=None) for r in residuals], verts)
     return Verdict(holds=ce is None, counterexample=ce)

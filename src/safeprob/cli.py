@@ -26,7 +26,7 @@ from .calibration import check_calibrated_full
 from .confidence import coverage_estimate, exponential_mean, normal_location
 from .core import format_value
 from .demos import run_dilation_demo, run_gamble_demo, run_monty_demo
-from .errors import NotFullSupport, SafeprobError, UniquenessViolated, ValidationError
+from .errors import SafeprobError, ValidationError
 from .pivots import PivotSpec, canonical_pivot, check_pivotal_safety
 from .safety import (
     NOTION_NOTATION,
@@ -178,16 +178,10 @@ def _cmd_check(args) -> int:
 
 def _cmd_report(args) -> int:
     scenario, u_rv, v_rv, _ = _load(args)
-    ptilde = scenario.pragmatic
-    verdicts = hierarchy_report(u_rv, v_rv, ptilde, scenario.credal)
-    warnings = []
-    if "pivotal" not in verdicts:
-        # the two calls by which hierarchy_report decides to omit the verdict
-        try:
-            spec = canonical_pivot(ptilde, u_rv, v_rv)
-            check_pivotal_safety(ptilde, u_rv, v_rv, spec, scenario.credal)
-        except (UniquenessViolated, NotFullSupport) as exc:
-            warnings.append(f"pivotal safety not evaluated: {exc}")
+    omitted: dict = {}
+    verdicts = hierarchy_report(u_rv, v_rv, scenario.pragmatic, scenario.credal, omitted)
+    warnings = [f"{'pivotal safety' if name == 'pivotal' else name} not evaluated: {exc}"
+                for name, exc in omitted.items()]
     head = {"query": {"u": args.u, "v": args.v}}
     _emit(_report(args, scenario, head, verdicts, warnings), args.json)
     return 0

@@ -6,7 +6,8 @@ exact rational arithmetic. Every object is immutable after construction
 and every operation is a pure function, so concurrent readers are safe.
 A pmf keeps its weight tuple and integer weights from the pass that
 validates it. A variable's range and atom indices per value are computed
-on first use and cached on the object; they depend on nothing else, so a
+on first use (or given by ``Rv._coded``, which builds a variable from
+value codes) and cached on the object; they depend on nothing else, so a
 race only computes the same value twice.
 
 Probabilities are `fractions.Fraction` throughout; nothing in this module
@@ -22,7 +23,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Union
 
@@ -62,19 +63,27 @@ def size_limit() -> int:
     return cap
 
 
-#: A decimal literal with an exponent, as ``Fraction`` reads one.
-_DECIMAL_EXPONENT = (r"\s*[-+]?(?=\d|\.\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?"
-                     r"[eE]([-+]?\d+(?:_\d+)*)\s*")
+#: A rational literal as ``Fraction`` reads one: p/q, or a decimal with
+#: an optional exponent.
+_RATIONAL_LITERAL = (r"\s*[-+]?(?=\d|\.\d)(?:\d+(?:_\d+)*)?(?:/\d+(?:_\d+)*"
+                     r"|(?:\.(?:\d+(?:_\d+)*)?)?(?:[eE](?P<exp>[-+]?\d+(?:_\d+)*))?)\s*")
 
 
 def parse_rational(text: str) -> Fraction:
-    """``Fraction(text)``, but OverflowError for a decimal exponent beyond
-    Python's bound on int strings, ``sys.get_int_max_str_digits()`` (none
-    when 0), since ``Fraction`` would build 10 to that power."""
+    """``Fraction(text)``, but OverflowError for a literal beyond Python's
+    bound on int strings, ``sys.get_int_max_str_digits()`` (none when 0):
+    a run of digits longer than the bound, which ``Fraction`` would reject
+    as no number at all, or a decimal exponent above it, for which
+    ``Fraction`` would build 10 to that power."""
     limit = sys.get_int_max_str_digits()
-    match = limit and ("e" in text or "E" in text) and re.fullmatch(_DECIMAL_EXPONENT, text)
-    if match and abs(int(match[1])) > limit:
-        raise OverflowError(f"decimal exponent of {text!r} exceeds the limit ({limit})")
+    match = (limit and (len(text) > limit or "e" in text or "E" in text)
+             and re.fullmatch(_RATIONAL_LITERAL, text))
+    if match:
+        if len(text) > limit and max(map(len, re.findall(r"\d+", text.replace("_", "")))) > limit:
+            raise OverflowError(f"numeric literal of {len(text)} characters has a run of "
+                                f"digits beyond the limit ({limit})")
+        if match["exp"] and abs(int(match["exp"])) > limit:
+            raise OverflowError(f"decimal exponent of {text!r} exceeds the limit ({limit})")
     return Fraction(text)
 
 
@@ -99,7 +108,7 @@ def as_value(x) -> Value:
 
     Ints, Fractions and numeric strings become 1-dimensional numeric
     values; sequences of those become numeric vectors; any other string
-    is an opaque symbol; a decimal exponent beyond the bound of
+    is an opaque symbol; a numeric literal beyond the bound of
     :func:`parse_rational` raises.
     """
     if isinstance(x, str):
@@ -201,6 +210,25 @@ class Rv:
         object.__setattr__(rv, "space", space)
         object.__setattr__(rv, "name", name)
         object.__setattr__(rv, "table", MappingProxyType(dict(table)))
+        return rv
+
+    @classmethod
+    def _coded(cls, space: OutcomeSpace, name: str, values: list, codes: list) -> "Rv":
+        """The generalized variable taking ``values[codes[i]]`` at atom i,
+        for distinct ``values`` each taken at some atom. Its range, cells
+        and codes come from ``codes``, so no value is hashed per atom."""
+        order = sorted(range(len(values)), key=lambda c: value_sort_key(values[c]))
+        rank = [0] * len(values)
+        for r, c in enumerate(order):
+            rank[c] = r
+        recoded = tuple(rank[c] for c in codes)
+        groups = [[] for _ in values]
+        for i, c in enumerate(recoded):
+            groups[c].append(i)
+        ranged = tuple(values[c] for c in order)
+        rv = cls.generalized(space, name, dict(zip(space.atoms, map(ranged.__getitem__, recoded))))
+        cells = MappingProxyType(dict(zip(ranged, map(tuple, groups))))
+        object.__setattr__(rv, "_level_cache", (ranged, cells, recoded))
         return rv
 
     @classmethod
@@ -505,9 +533,9 @@ def enumerate_vertices(
     for chosen in itertools.combinations(range(m + n), k):
         zero = {i - m for i in chosen if i >= m}
         free = [j for j in range(n) if j not in zero]
-        rows = eq_rows + [inequalities[i][0] for i in chosen if i < m]
-        status, y, den = solve_linear([[row[j] for j in free] for row in rows],
-                                      [row[n] for row in rows])
+        system = itemgetter(*free, n)
+        status, y, den = solve_linear([system(row) for row in eq_rows] +
+                                      [system(inequalities[i][0]) for i in chosen if i < m])
         if status != UNIQUE or any(v < 0 for v in y):
             continue
         # The candidate's numerators over their gcd identify it exactly,
@@ -597,33 +625,40 @@ class ConditionalTable:
 
     Rows at unsupported conditioner values cannot be inferred from the
     joint; they are filled uniformly and listed in ``arbitrary_rows`` so
-    reports can flag them.
+    reports can flag them. ``sums`` holds, per conditioner value in
+    canonical order, one integer per target value in canonical order, and
+    the row is these over their total: the pmf's integer weights summed
+    per target value, or all 1 for the uniform fill.
     """
 
     given: Rv
     target: Rv
     rows: Mapping
     arbitrary_rows: frozenset = field(default_factory=frozenset)
+    sums: tuple = field(default=(), compare=False, repr=False)
 
 
 def conditional_table(p: Pmf, u: Rv, v: Rv) -> ConditionalTable:
-    """P(u | v) as a table over range(v), exact where supported."""
-    u_range, codes, x = u.range(), u.codes(), p.as_tuple()
-    rows = {}
-    arbitrary = set()
+    """P(u | v) as a table over range(v), exact where supported: the
+    integer weights are summed per (v value, u value) cell, and each
+    cell's probability is one ``Fraction`` of its sum over the v value's."""
+    u_range, codes, ints = u.range(), u.codes(), p.integer_weights()
+    k = len(u_range)
+    rows, sums, arbitrary = {}, [], set()
     for val, idx in v.cells().items():
-        mass = sum((x[i] for i in idx), Fraction(0))
+        cell = [0] * k
+        for i in idx:
+            cell[codes[i]] += ints[i]
+        mass = sum(cell)
         if mass:
-            row = [Fraction(0)] * len(u_range)
-            for i in idx:
-                if x[i]:
-                    row[codes[i]] += x[i] / mass
-            rows[val] = dict(zip(u_range, row))
+            rows[val] = dict(zip(u_range, [Fraction(c, mass) if c else _ZERO for c in cell]))
         else:
-            uniform = Fraction(1, len(u_range))
-            rows[val] = {uv: uniform for uv in u_range}
+            cell = [1] * k
+            rows[val] = dict.fromkeys(u_range, Fraction(1, k))
             arbitrary.add(val)
-    return ConditionalTable(given=v, target=u, rows=rows, arbitrary_rows=frozenset(arbitrary))
+        sums.append(tuple(cell))
+    return ConditionalTable(given=v, target=u, rows=rows, arbitrary_rows=frozenset(arbitrary),
+                            sums=tuple(sums))
 
 
 def essentially_unique(ptilde: Pmf, v: Rv, credal: CredalSet) -> bool:

@@ -7,6 +7,11 @@ every conditioning value. Losses here are symmetric (invariant under a
 simultaneous relabelling of outcomes and actions); built-in kinds are the
 0/1 loss, the Brier score and the log score, and finite custom tables are
 accepted after an explicit symmetry audit.
+
+The policy is compiled from the conditional table's integer sums: the
+0/1 and Brier losses of the Bayes act and its believed loss are read off
+each conditioning value's sums, and the realized loss per atom is looked
+up by value codes.
 """
 
 from __future__ import annotations
@@ -43,6 +48,8 @@ LOG = "log"
 CUSTOM = "custom_table"
 
 LOG_TOLERANCE = 1e-12
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -173,10 +180,17 @@ def loss_value(loss: LossFunction, u_value, action: Action):
 def _compile_policy(ptilde: Pmf, u: Rv, v: Rv, loss: LossFunction):
     """What decision safety and its loss table share: the conditional
     table, the Bayes policy per conditioning value, the loss of that
-    policy tabulated once per realizable (target value, conditioner
-    value) cell, the believed loss per supported conditioning value read
-    from it, and the realized loss per atom. Raises ValidationError when
-    a custom table lacks an outcome of the target."""
+    policy per conditioning value and target value (as lists over their
+    codes), the believed loss per supported conditioning value, and the
+    realized loss per atom. Raises ValidationError when a custom table
+    lacks an outcome of the target.
+
+    With the table's sums s over their total m per conditioning value and
+    q = s / m, the 0/1 loss is 0 at the
+    first mode and 1 elsewhere, believed 1 - q_mode; the Brier score of
+    the act q at u is 1 - 2 q_u + sum q^2, believed 1 - sum q^2. The log
+    score and custom tables take :func:`loss_value` once per target value.
+    """
     if loss.kind == CUSTOM:
         missing = sorted(set(u.range()) - set(loss.outcomes()), key=value_sort_key)
         if missing:
@@ -184,14 +198,28 @@ def _compile_policy(ptilde: Pmf, u: Rv, v: Rv, loss: LossFunction):
                 f"custom loss table lacks outcomes [{', '.join(map(format_value, missing))}]"
             )
     table = conditional_table(ptilde, u, v)
-    policy = {vv: bayes_act(loss, table.rows[vv]) for vv in v.range()}
-    cells = [(u.table[z], v.table[z]) for z in ptilde.space.atoms]
-    cost = {cell: loss_value(loss, cell[0], policy[cell[1]]) for cell in dict.fromkeys(cells)}
-    believed = {
-        vv: sum(p * cost[uu, vv] for uu, p in row.items() if p)
-        for vv, row in table.rows.items() if vv not in table.arbitrary_rows
-    }
-    return table, policy, cost, believed, [cost[cell] for cell in cells]
+    u_range = u.range()
+    policy, cost, believed = {}, [], {}
+    for (vv, row), s in zip(table.rows.items(), table.sums):
+        act = policy[vv] = bayes_act(loss, row)
+        m = sum(s)
+        if loss.kind == ZERO_ONE:
+            mode = s.index(max(s))
+            costs = [_ONE] * len(s)
+            costs[mode] = _ZERO
+            claim = Fraction(m - s[mode], m)
+        elif loss.kind == BRIER:
+            square = sum(c * c for c in s)
+            costs = [Fraction(m * m - 2 * c * m + square, m * m) for c in s]
+            claim = Fraction(m * m - square, m * m)
+        else:
+            costs = [loss_value(loss, uu, act) for uu in u_range]
+            claim = sum(p * c for p, c in zip(row.values(), costs) if p)
+        cost.append(costs)
+        if vv not in table.arbitrary_rows:
+            believed[vv] = claim
+    uk, vk = u.codes(), v.codes()
+    return table, policy, cost, believed, [cost[j][k] for j, k in zip(vk, uk)]
 
 
 def check_decision_safety(
@@ -217,9 +245,9 @@ def check_decision_safety(
             notes.append(
                 f"Bayes-act tie at conditioning value {format_value(vv)} broken canonically"
             )
-    for vv, total in believed.items():
-        if total == math.inf:
-            uu = next(uu for uu, p in table.rows[vv].items() if p and cost[uu, vv] == math.inf)
+    for (vv, row), costs in zip(table.rows.items(), cost):
+        if believed.get(vv) == math.inf:
+            uu = next(uu for (uu, p), c in zip(row.items(), costs) if p and c == math.inf)
             raise InfiniteLoss(
                 f"believed loss infinite at conditioning value {format_value(vv)}, "
                 f"outcome {format_value(uu)}"

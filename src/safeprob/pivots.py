@@ -11,6 +11,13 @@ The probability-of-the-realized-outcome map plays a canonical role: when
 no two outcomes share the same nonzero conditional probability it is
 itself a pivot, and pivotal safety with any simple pivot is equivalent to
 pivotal safety with this one.
+
+Everything here is keyed by integer codes: the map is read once per
+(target, conditioner) cell, pivot values are numbered in canonical
+order, injectivity and the law residuals work on those numbers (each
+cell split by pivot code in one pass), and the probability-of-outcome
+map and its uniqueness check come from the conditional table's rows and
+integer sums. Pivot values reach only the spec and the verdicts.
 """
 
 from __future__ import annotations
@@ -28,7 +35,6 @@ from .core import (
     conditional_table,
     determines,
     format_value,
-    support,
     value_sort_key,
 )
 from .errors import (
@@ -50,6 +56,8 @@ from .safety import (
     require_one_space,
     stratify,
 )
+
+_UNDEFINED = object()
 
 #: Budget of the exhaustive simple-pivot search in :func:`pivot_equivalence`:
 #: spaces with more atoms are not searched (the search is factorial).
@@ -83,60 +91,81 @@ class PivotVerdict:
     failure: Optional[str] = None
 
 
-def _law_residuals(pivot: dict, ints: Sequence[int], cells: Mapping) -> list:
+def _law_residuals(pivot: Mapping, values: Sequence, ints: Sequence[int], cells: Mapping) -> list:
     """P(T = t, C = c) = law(t) * P(C = c) for every cell c (atom indices)
-    and pivot value t, where ``pivot`` maps atom indices to pivot values
-    and law(t) = count(t) / total is the pivot's law under the integer
-    weights ``ints`` on its atoms, written with the scale ``total``;
-    printed as conditional probabilities given the cell."""
-    counts = dict.fromkeys(sorted(set(pivot.values()), key=value_sort_key), 0)
+    and pivot value t, where ``pivot`` maps atom indices to codes of the
+    pivot values ``values`` (in canonical order) and law(t) = count(t) /
+    total is the pivot's law under the integer weights ``ints`` on its
+    atoms, written with the scale ``total``; printed as conditional
+    probabilities given the cell. Each cell is split by pivot code in one
+    pass."""
+    counts = [0] * len(values)
     for i, t in pivot.items():
         counts[t] += ints[i]
-    total, n = sum(counts.values()), len(ints)
-    return [
-        equal(atom_row(total, [i for i in idx if pivot[i] == t], n), atom_row(counts[t], idx, n),
-              scale=total, v=c, u=t, denom=idx)
-        for c, idx in cells.items() for t in counts
-    ]
+    total, n = sum(counts), len(ints)
+    out = []
+    for c, idx in cells.items():
+        parts: list = [[] for _ in values]
+        for i in idx:
+            parts[pivot[i]].append(i)
+        out += [equal(atom_row(total, part, n), atom_row(counts[t], idx, n),
+                      scale=total, v=c, u=values[t], denom=idx)
+                for t, part in enumerate(parts)]
+    return out
 
 
 def _check_pivot_on(
     spec: PivotSpec, u: Rv, v: Rv, verts: Sequence[Pmf], stratum: Sequence[int]
-) -> tuple[PivotVerdict, dict]:
-    """The pivot verdict on ``stratum``'s atoms, and their pivot table so far."""
-    pivot, targets = {}, {}
+) -> tuple[PivotVerdict, Optional[tuple]]:
+    """The pivot verdict on ``stratum``'s atoms and, when it is a pivot,
+    its table there: a map from those atoms to codes of the pivot values,
+    and the pivot values in canonical order, one per code."""
+    u_range, v_range, uk, vk = u.range(), v.range(), u.codes(), v.codes()
+    cells: dict = {}  # (v code, u code) -> pivot code, cells in first-occurrence order
+    code_of: dict = {}  # pivot value -> code, in first-occurrence order
     for i in stratum:
-        z = u.space.atoms[i]
-        cell = (u.table[z], v.table[z])
-        if cell not in spec.mapping:
-            return PivotVerdict(False, False, f"map undefined at cell {format_value(cell)}"), pivot
-        pivot[i] = spec.mapping[cell]
-        targets.setdefault(cell[1], []).append((cell[0], pivot[i]))
+        key = (vk[i], uk[i])
+        if key not in cells:
+            cell = (u_range[key[1]], v_range[key[0]])
+            pv = spec.mapping.get(cell, _UNDEFINED)
+            if pv is _UNDEFINED:
+                failure = f"map undefined at cell {format_value(cell)}"
+                return PivotVerdict(False, False, failure), None
+            cells[key] = code_of.setdefault(pv, len(code_of))
+    # recode the pivot values into canonical order
+    values = sorted(code_of, key=value_sort_key)
+    rank = [0] * len(values)
+    for r, t in enumerate(values):
+        rank[code_of[t]] = r
+    by_value: dict = {}
+    for (j, k), t in cells.items():
+        by_value.setdefault(j, []).append((k, rank[t]))
 
-    images = {}
-    for vv in sorted(targets, key=value_sort_key):
+    images = []
+    for j in sorted(by_value):
         seen: dict = {}
-        for uu, pv in targets[vv]:
-            if seen.setdefault(pv, uu) != uu:
+        for k, t in by_value[j]:
+            if seen.setdefault(t, k) != k:
                 return PivotVerdict(
                     False, False,
-                    f"not injective at conditioning value {format_value(vv)}: targets "
-                    f"{format_value(seen[pv])} and {format_value(uu)} both map to "
-                    f"{format_value(pv)}",
-                ), pivot
-        images[vv] = set(seen)
+                    f"not injective at conditioning value {format_value(v_range[j])}: targets "
+                    f"{format_value(u_range[seen[t]])} and {format_value(u_range[k])} both map "
+                    f"to {format_value(values[t])}",
+                ), None
+        images.append(len(seen))
 
+    pivot = {i: rank[cells[vk[i], uk[i]]] for i in stratum}
     if verts:
-        if first_failure(_law_residuals(pivot, verts[0].integer_weights(), {None: stratum}),
-                         verts) is not None:
+        if first_failure(_law_residuals(pivot, values, verts[0].integer_weights(),
+                                        {None: stratum}), verts) is not None:
             return PivotVerdict(
                 False, False, "credal members disagree on the pivot distribution"
-            ), pivot
+            ), None
 
-    overall = set(pivot.values())
-    simple = all(image == overall for image in images.values())
+    # each image is a subset of the pivot values, so it is onto iff it is as large
+    simple = all(size == len(values) for size in images)
     failure = None if simple else "some conditioning value does not reach every pivot value"
-    return PivotVerdict(True, simple, failure), pivot
+    return PivotVerdict(True, simple, failure), (pivot, values)
 
 
 def check_pivot(spec: PivotSpec, u: Rv, v: Rv, credal: CredalSet) -> PivotVerdict:
@@ -167,7 +196,8 @@ def check_pivotal_safety(
     credal vertex, conditioned on the stratum when ``w`` is given.
     """
     require_one_space(u, v, w, ptilde, credal)
-    if support(ptilde, v) != set(v.range()):
+    ints = ptilde.integer_weights()
+    if not all(any(ints[i] for i in idx) for idx in v.cells().values()):
         raise NotFullSupport(
             f"{v.name} lacks full support under the pragmatic distribution"
         )
@@ -182,13 +212,12 @@ def check_pivotal_safety(
         pv, pivot = _check_pivot_on(spec, u, v, kept, stratum)
         if not pv.is_pivot:
             raise NotAPivot(pv.failure or "pivot requirements not met")
-        ints = ptilde.integer_weights()
         # w coarsens v, so each cell of v lies inside the stratum or outside it
         cells = {vv: idx for vv, idx in v.cells().items() if idx[0] in stratum}
         checks = (
-            (_law_residuals(pivot, ints, cells), [ptilde],
+            (_law_residuals(*pivot, ints, cells), [ptilde],
              "pragmatic pivot law varies with the conditioner"),
-            (_law_residuals(pivot, ints, {None: stratum}), kept[:1],
+            (_law_residuals(*pivot, ints, {None: stratum}), kept[:1],
              "pragmatic pivot law differs from the common credal law"),
         )
         for residuals, vertices, note in checks:
@@ -201,14 +230,26 @@ def check_pivotal_safety(
     return Verdict(holds=True, notes=tuple(notes))
 
 
-def _outcome_probability_spec(ptilde: Pmf, u: Rv, v: Rv) -> PivotSpec:
+def _outcome_probability_spec(
+    ptilde: Pmf, u: Rv, v: Rv
+) -> tuple[PivotSpec, Optional[UniquenessViolated]]:
     """The probability-of-the-realized-outcome map, cells in canonical
-    order: conditioning value outer, target value inner."""
+    order: conditioning value outer, target value inner, its values read
+    from the conditional table's rows; and the first clash, at the first
+    conditioning value and target value in that order, of two realizable
+    target values with the same nonzero conditional probability (equal
+    integer sums), or None when there is none."""
     table = conditional_table(ptilde, u, v)
-    return PivotSpec(name=f"prob({u.name}|{v.name})", mapping={
-        (uu, vv): (Fraction(table.rows[vv][uu]),)
-        for vv in v.range() for uu in u.range_given(v, vv)
-    })
+    u_range, uk = u.range(), u.codes()
+    mapping: dict = {}
+    clash = None
+    for (vv, idx), row, sums in zip(v.cells().items(), table.rows.values(), table.sums):
+        probs, first = list(row.values()), {}
+        for k in sorted({uk[i] for i in idx}):
+            mapping[u_range[k], vv] = (probs[k],)
+            if clash is None and sums[k] and first.setdefault(sums[k], k) != k:
+                clash = UniquenessViolated(vv, probs[k], (u_range[first[sums[k]]], u_range[k]))
+    return PivotSpec(name=f"prob({u.name}|{v.name})", mapping=mapping), clash
 
 
 def canonical_pivot(ptilde: Pmf, u: Rv, v: Rv) -> PivotSpec:
@@ -218,11 +259,9 @@ def canonical_pivot(ptilde: Pmf, u: Rv, v: Rv) -> PivotSpec:
     values receive the same nonzero conditional probability; otherwise
     raises UniquenessViolated naming the clash.
     """
-    spec = _outcome_probability_spec(ptilde, u, v)
-    first: dict = {}
-    for (uu, vv), (prob,) in spec.mapping.items():
-        if prob > 0 and first.setdefault((vv, prob), uu) != uu:
-            raise UniquenessViolated(vv, prob, (first[vv, prob], uu))
+    spec, clash = _outcome_probability_spec(ptilde, u, v)
+    if clash is not None:
+        raise clash
     return spec
 
 
@@ -243,12 +282,8 @@ def pivot_equivalence(ptilde: Pmf, u: Rv, v: Rv, credal: CredalSet) -> dict:
     Returns ``{"marginal_safe", "pivotal_safe", "simple_pivot_exists",
     "hypothesis_met"}``.
     """
-    try:
-        spec = canonical_pivot(ptilde, u, v)
-        hypothesis_met = True
-    except UniquenessViolated:
-        spec = _outcome_probability_spec(ptilde, u, v)
-        hypothesis_met = False
+    spec, clash = _outcome_probability_spec(ptilde, u, v)
+    hypothesis_met = clash is None
     uprime = spec.as_rv(u, v)
     marginal_safe = check_safety(
         SafetyQuery(uprime, LEFT_FULL, v, RIGHT_SQUARE), ptilde, credal

@@ -190,8 +190,10 @@ def hull_membership(point: Sequence[int], hull: Hull) -> bool:
     rows, rank = hull
     if not rows:
         return False
-    for basis in itertools.combinations(range(len(rows[0])), rank):
-        status, mu, _ = solve_linear([[row[c] for c in basis] for row in rows], point)
+    ncols = len(rows[0])
+    aug = [[*row, x] for row, x in zip(rows, point)]
+    for basis in itertools.combinations(range(ncols), rank):
+        status, mu, _ = solve_linear(list(map(operator.itemgetter(*basis, ncols), aug)))
         if status == UNIQUE and all(x >= 0 for x in mu):
             return True
     return False
@@ -457,28 +459,41 @@ HIERARCHY_IMPLICATIONS = (
 )
 
 
-def hierarchy_report(u: Rv, v: Rv, ptilde: Pmf, credal: CredalSet) -> dict:
+def hierarchy_report(u: Rv, v: Rv, ptilde: Pmf, credal: CredalSet,
+                     omitted: Optional[dict] = None) -> dict:
     """Evaluate every unstratified notion plus calibration and (when the
     probability-of-outcome pivot is available) pivotal safety.
 
-    Violated implication arrows are appended to the consequent verdict's
-    notes as internal-error diagnostics; they indicate a checker bug, not
-    a property of the inputs.
+    The average-mode notions are left out for a non-numeric target, and
+    pivotal safety where that pivot is undefined (UniquenessViolated) or
+    the conditioner lacks full pragmatic support (NotFullSupport). When
+    ``omitted`` is given, each notion left out is added to it with the
+    exception that kept it out, in the order of the report.
+
+    Violated implication arrows whose ends are both in the report are
+    appended to the consequent verdict's notes as internal-error
+    diagnostics; they indicate a checker bug, not a property of the
+    inputs.
     """
     from .calibration import check_calibrated_full
     from .errors import NotAPivot, NotFullSupport, UniquenessViolated
     from .pivots import canonical_pivot, check_pivotal_safety
 
+    if omitted is None:
+        omitted = {}
     report: dict[str, Verdict] = {}
     for notion, (left, right) in NOTION_QUERIES.items():
         query = SafetyQuery(u, left, v, right)
-        report[notion] = check_safety(query, ptilde, credal)
+        try:
+            report[notion] = check_safety(query, ptilde, credal)
+        except NonNumericTarget as exc:
+            omitted[notion] = exc
     report["calibrated"] = check_calibrated_full(u, v, ptilde, credal)
     try:
         spec = canonical_pivot(ptilde, u, v)
         report["pivotal"] = check_pivotal_safety(ptilde, u, v, spec, credal)
-    except (UniquenessViolated, NotFullSupport):
-        pass  # probability-of-outcome pivot undefined here; key omitted
+    except (UniquenessViolated, NotFullSupport) as exc:
+        omitted["pivotal"] = exc
     except NotAPivot as exc:
         report["pivotal"] = Verdict(
             holds=False,
@@ -487,6 +502,8 @@ def hierarchy_report(u: Rv, v: Rv, ptilde: Pmf, credal: CredalSet) -> dict:
         )
 
     for antecedent, consequent in HIERARCHY_IMPLICATIONS:
+        if antecedent not in report or consequent not in report:
+            continue
         flagged = report[consequent]
         if report[antecedent].holds and not flagged.holds:
             report[consequent] = replace(flagged, notes=flagged.notes + (

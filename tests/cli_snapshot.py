@@ -12,9 +12,16 @@ The list covers, on every bundled scenario file:
 - ``report`` for every ordered u/v pair, and ``events``;
 
 plus the three ``demo``s and one short ``coverage`` run, each as text
-and with ``--json``, and the printed output of every ``demos/*.py``
-script of the checkout whose ``safeprob`` is imported, keyed by its path
-relative to that checkout and run in-process as ``__main__``. The same
+and with ``--json``; the library's notion checks that the command line
+never calls, on every ordered u/v pair of every credal scenario file:
+``check_decision_safety`` and ``decision_loss_table`` with the 0/1,
+Brier and log losses, ``check_pivotal_safety`` with the canonical pivot
+and ``check_calibrated_mean``, each as the ``repr`` of its result (so
+value types show) or the type and message of the error it raised, keyed
+``library FILE --u U --v V CHECK``; and the printed output of every
+``demos/*.py`` script of the checkout whose ``safeprob`` is imported,
+keyed by its path relative to that checkout and run in-process as
+``__main__``. The same
 scenario invocations also run on the files in ``scenarios/`` next to
 this script, which cover what the bundled files lack: vector and symbol
 targets, and credal sets given by their vertices. Scenario files are
@@ -41,7 +48,9 @@ pytest does not collect this module.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
+import itertools
 import json
 import os
 import runpy
@@ -50,7 +59,17 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import safeprob
+from safeprob.calibration import check_calibrated_mean
 from safeprob.cli import NOTIONS, main
+from safeprob.decisions import (
+    BRIER,
+    LOG,
+    ZERO_ONE,
+    LossFunction,
+    check_decision_safety,
+    decision_loss_table,
+)
+from safeprob.pivots import canonical_pivot, check_pivotal_safety
 from safeprob.scenario import parse_scenario
 
 SCENARIO_DIR = Path(safeprob.__file__).resolve().parent / "scenarios"
@@ -104,6 +123,34 @@ def run(argv: list[str]) -> list:
     return [code, out.getvalue(), err.getvalue()]
 
 
+def library_calls(name: str) -> dict:
+    """The library entries of one scenario file, as zero-argument calls
+    keyed as in the snapshot; none for an event scenario."""
+    scenario = parse_scenario(name)
+    if scenario.space is None:
+        return {}
+    pt, credal, calls = scenario.pragmatic, scenario.credal, {}
+    for (un, u), (vn, v) in itertools.product(scenario.rvs.items(), repeat=2):
+        key = f"library {name} --u {un} --v {vn}"
+        for kind in (ZERO_ONE, BRIER, LOG):
+            loss = LossFunction(kind)
+            calls[f"{key} decision {kind}"] = functools.partial(
+                check_decision_safety, pt, u, v, loss, credal)
+            calls[f"{key} loss-table {kind}"] = functools.partial(
+                decision_loss_table, pt, u, v, loss, credal)
+        calls[f"{key} pivotal"] = functools.partial(
+            lambda u, v: check_pivotal_safety(pt, u, v, canonical_pivot(pt, u, v), credal), u, v)
+        calls[f"{key} calibrated-mean"] = functools.partial(check_calibrated_mean, u, v, pt, credal)
+    return calls
+
+
+def run_call(call) -> list:
+    try:
+        return [0, repr(call()), ""]
+    except Exception as exc:  # recorded like the command line's exit 2
+        return [2, "", f"{type(exc).__name__}: {exc}"]
+
+
 def run_demo(path: Path) -> list:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -120,6 +167,8 @@ def snapshot(names: list[str]) -> dict:
             chosen = [name for name in names if (directory / name).is_file()]
             argvs = all_argvs(chosen, commands=directory == SCENARIO_DIR)
             entries.update((" ".join(argv), run(argv)) for argv in argvs)
+            for name in chosen:
+                entries.update((key, run_call(call)) for key, call in library_calls(name).items())
         for path in sorted(DEMO_DIR.glob("*.py")):  # none when the checkout has no demos
             entries[f"demos/{path.name}"] = run_demo(path)
         return entries

@@ -13,8 +13,9 @@ reduction before it was slimmed. ``dist-range`` is decided by
 the subset search that predates the basis-only one: every support of
 size one up to the rank, with the sum-to-one row always present, solved
 on the ``Fraction`` kernel. A custom loss table's symmetry is audited
-by trying every outcome permutation, as before the two-generator audit
-(the last five sections of this module).
+by trying every outcome permutation, as before the two-generator audit,
+and the notion compilers are built by their per-atom ``Fraction`` forms
+(the last six sections of this module).
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from safeprob.errors import (
     NotEssentiallyUnique,
     NotFullSupport,
     SizeLimit,
+    UniquenessViolated,
     ValidationError,
 )
 from safeprob.pivots import PivotSpec, PivotVerdict
@@ -64,6 +66,8 @@ from safeprob.safety import (
     Counterexample,
     SafetyQuery,
     Verdict,
+    atom_row,
+    equal,
 )
 
 
@@ -953,3 +957,103 @@ def _audit_symmetry(table: Mapping) -> None:
             raise ValidationError(
                 "custom loss table is not invariant under outcome permutations"
             )
+
+
+# ---------------------------------------------------------------------------
+# Reference notion compilers.
+#
+# The per-atom ``Fraction`` forms that the notion compilers replaced with
+# integer weights and value codes, kept verbatim (renamed) as the
+# differential oracle in ``tests/test_compilers.py``: the conditional
+# table built from the weight tuple, the probability-of-outcome map read
+# cell by cell with the uniqueness check of ``canonical_pivot`` over it,
+# the pivot-law residuals that rescan each cell per pivot value, and the
+# decision policy whose losses ``loss_value`` gives per realizable cell.
+# The forecast map that encoded the row of every atom is
+# ``predicted_distribution_rv`` above, verbatim but for the table it reads.
+
+
+def fraction_conditional_table(p: Pmf, u: Rv, v: Rv) -> ConditionalTable:
+    """P(u | v) as a table over range(v), exact where supported."""
+    u_range, codes, x = u.range(), u.codes(), p.as_tuple()
+    rows = {}
+    arbitrary = set()
+    for val, idx in v.cells().items():
+        mass = sum((x[i] for i in idx), Fraction(0))
+        if mass:
+            row = [Fraction(0)] * len(u_range)
+            for i in idx:
+                if x[i]:
+                    row[codes[i]] += x[i] / mass
+            rows[val] = dict(zip(u_range, row))
+        else:
+            uniform = Fraction(1, len(u_range))
+            rows[val] = {uv: uniform for uv in u_range}
+            arbitrary.add(val)
+    return ConditionalTable(given=v, target=u, rows=rows, arbitrary_rows=frozenset(arbitrary))
+
+
+def fraction_outcome_probability_spec(ptilde: Pmf, u: Rv, v: Rv) -> PivotSpec:
+    """The probability-of-the-realized-outcome map, cells in canonical
+    order: conditioning value outer, target value inner."""
+    table = fraction_conditional_table(ptilde, u, v)
+    return PivotSpec(name=f"prob({u.name}|{v.name})", mapping={
+        (uu, vv): (Fraction(table.rows[vv][uu]),)
+        for vv in v.range() for uu in u.range_given(v, vv)
+    })
+
+
+def fraction_canonical_pivot(ptilde: Pmf, u: Rv, v: Rv) -> PivotSpec:
+    """The probability-of-the-realized-outcome map as a pivot spec.
+
+    Defined when, at each conditioning value, no two realizable target
+    values receive the same nonzero conditional probability; otherwise
+    raises UniquenessViolated naming the clash.
+    """
+    spec = fraction_outcome_probability_spec(ptilde, u, v)
+    first: dict = {}
+    for (uu, vv), (prob,) in spec.mapping.items():
+        if prob > 0 and first.setdefault((vv, prob), uu) != uu:
+            raise UniquenessViolated(vv, prob, (first[vv, prob], uu))
+    return spec
+
+
+def fraction_law_residuals(pivot: dict, ints: Sequence[int], cells: Mapping) -> list:
+    """P(T = t, C = c) = law(t) * P(C = c) for every cell c (atom indices)
+    and pivot value t, where ``pivot`` maps atom indices to pivot values
+    and law(t) = count(t) / total is the pivot's law under the integer
+    weights ``ints`` on its atoms, written with the scale ``total``;
+    printed as conditional probabilities given the cell."""
+    counts = dict.fromkeys(sorted(set(pivot.values()), key=value_sort_key), 0)
+    for i, t in pivot.items():
+        counts[t] += ints[i]
+    total, n = sum(counts.values()), len(ints)
+    return [
+        equal(atom_row(total, [i for i in idx if pivot[i] == t], n), atom_row(counts[t], idx, n),
+              scale=total, v=c, u=t, denom=idx)
+        for c, idx in cells.items() for t in counts
+    ]
+
+
+def fraction_compile_policy(ptilde: Pmf, u: Rv, v: Rv, loss: LossFunction):
+    """What decision safety and its loss table share: the conditional
+    table, the Bayes policy per conditioning value, the loss of that
+    policy tabulated once per realizable (target value, conditioner
+    value) cell, the believed loss per supported conditioning value read
+    from it, and the realized loss per atom. Raises ValidationError when
+    a custom table lacks an outcome of the target."""
+    if loss.kind == CUSTOM:
+        missing = sorted(set(u.range()) - set(loss.outcomes()), key=value_sort_key)
+        if missing:
+            raise ValidationError(
+                f"custom loss table lacks outcomes [{', '.join(map(format_value, missing))}]"
+            )
+    table = fraction_conditional_table(ptilde, u, v)
+    policy = {vv: bayes_act(loss, table.rows[vv]) for vv in v.range()}
+    cells = [(u.table[z], v.table[z]) for z in ptilde.space.atoms]
+    cost = {cell: loss_value(loss, cell[0], policy[cell[1]]) for cell in dict.fromkeys(cells)}
+    believed = {
+        vv: sum(p * cost[uu, vv] for uu, p in row.items() if p)
+        for vv, row in table.rows.items() if vv not in table.arbitrary_rows
+    }
+    return table, policy, cost, believed, [cost[cell] for cell in cells]

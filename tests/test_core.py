@@ -137,6 +137,20 @@ class TestDecimalExponents:
     def test_symbols_with_an_e_stay_symbols(self):
         assert as_value("xe99999") == "xe99999"
 
+    @pytest.mark.parametrize("text", ["1" * 4300, "1_" * 4299 + "1", "0." + "1" * 4300,
+                                      "1/" + "3" * 4300])
+    def test_digit_runs_at_the_limit_are_read(self, text):
+        assert as_value(text) == (Fraction(text),)
+
+    @pytest.mark.parametrize("text", ["1" + "0" * 4300, "1e" + "9" * 4301, "1_" * 4300 + "1",
+                                      "0." + "1" * 4301, "1/" + "3" * 4301, " -1" + "0" * 5000])
+    def test_overlong_numeric_literals_are_rejected(self, text):
+        # Fraction reads these as no number at all, which made them symbols
+        with pytest.raises(ValidationError, match="beyond the limit"):
+            as_value(text)
+        with pytest.raises(ValidationError, match="^not a rational literal"):
+            as_rational(text)
+
 
 class TestEnumerateVertices:
     def test_unconstrained_simplex(self):

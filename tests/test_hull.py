@@ -52,9 +52,9 @@ def counting(module):
     calls = [0]
     solve = module.solve_linear
 
-    def counted(a, b):
+    def counted(*system):
         calls[0] += 1
-        return solve(a, b)
+        return solve(*system)
 
     module.solve_linear = counted
     try:
@@ -259,12 +259,12 @@ def test_check_safety_searches_each_vertex_once_per_stratum(monkeypatch, stratif
         calls[-1][0] = member(point, hull)
         return calls[-1][0]
 
-    def counted_solve(a, b):
+    def counted_solve(aug):
         if calls and calls[-1][0] is None:
             calls[-1][1] += 1
         else:
             outside[0] += 1
-        return solve(a, b)
+        return solve(aug)
 
     monkeypatch.setattr(safety, "hull_membership", counted_member)
     monkeypatch.setattr(safety, "solve_linear", counted_solve)

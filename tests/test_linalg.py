@@ -87,8 +87,7 @@ def systems(draw):
 def _solved(a: list, b: list) -> tuple:
     """``solve_linear`` on ``a @ x = b`` with each augmented row scaled to
     integers, as ``(status, x)`` with ``x`` rational or None."""
-    aug = [integer_row([*row, v]) for row, v in zip(a, b)]
-    status, nums, den = solve_linear([row[:-1] for row in aug], [row[-1] for row in aug])
+    status, nums, den = solve_linear([integer_row([*row, v]) for row, v in zip(a, b)])
     if status != UNIQUE:
         assert nums is None and den is None
         return status, None
@@ -229,7 +228,7 @@ def test_rref_matches_the_bareiss_oracle_on_square_systems(rows):
     ([[10**6, 999_999], [1, 1]], [500_000, 1], (UNIQUE, [-499_999, 500_000], 1)),
 ])
 def test_solve_linear_raw(a, b, expected):
-    assert solve_linear(a, b) == expected
+    assert solve_linear([[*row, v] for row, v in zip(a, b)]) == expected
 
 
 def _enumerated(enumerate_fn, constraints, space):
@@ -297,9 +296,9 @@ def test_one_solve_per_basis(polytope):
     constraints, space = polytope
     n, calls, solve = len(space.atoms), [0], core.solve_linear
 
-    def counted(a, b):
+    def counted(aug):
         calls[0] += 1
-        return solve(a, b)
+        return solve(aug)
 
     core.solve_linear = counted
     try:

@@ -38,6 +38,7 @@ from safeprob.core import (
     format_value,
     mix,
     support,
+    value_sort_key,
 )
 from safeprob.decisions import BRIER, CUSTOM, LOG, ZERO_ONE, LossFunction, check_decision_safety
 from safeprob.errors import SafeprobError, UniquenessViolated
@@ -200,9 +201,10 @@ def _compiled(u, v, w, ptilde):
         spec = canonical_pivot(ptilde, u, v)
     except UniquenessViolated:
         return
-    pivot = {i: spec.mapping[u.table[z], v.table[z]] for i, z in enumerate(u.space.atoms)}
+    pivot = [spec.mapping[u.table[z], v.table[z]] for z in u.space.atoms]
+    values = sorted(set(pivot), key=value_sort_key)
     cells = {**v.cells(), None: range(n)}
-    yield from _law_residuals(pivot, ints, cells)
+    yield from _law_residuals(dict(enumerate(map(values.index, pivot))), values, ints, cells)
 
 
 @given(instances())

@@ -16,7 +16,12 @@ from safeprob.demos import (
 )
 from safeprob.calibration import check_calibrated_full, check_calibrated_mean
 from safeprob.decisions import ZERO_ONE, LossFunction, check_decision_safety
-from safeprob.errors import NonNumericTarget, NotEssentiallyUnique, ValidationError
+from safeprob.errors import (
+    NonNumericTarget,
+    NotEssentiallyUnique,
+    UniquenessViolated,
+    ValidationError,
+)
 from safeprob.pivots import PivotSpec, check_pivot, check_pivotal_safety
 from safeprob.safety import (
     HIERARCHY_IMPLICATIONS,
@@ -228,6 +233,26 @@ class TestHierarchyReport:
         # both candidate truths have mean door number 2, inside the believed range
         assert report["range"].holds
         assert not any("internal-error" in n for v in report.values() for n in v.notes)
+
+    def test_omitted_notions_are_named_with_their_reasons(self):
+        # a symbol target: the average-mode notions are left out, and so is
+        # pivotal, since both outcomes get 1/2 at every conditioning value
+        space = OutcomeSpace(["a0", "b0", "a1", "b1"])
+        u = Rv(space, "U", {"a0": "a", "b0": "b", "a1": "a", "b1": "b"})
+        v = Rv(space, "V", {"a0": 0, "b0": 0, "a1": 1, "b1": 1})
+        ptilde = Pmf.uniform(space)
+        corner = Pmf(space, {"a0": Fraction(1, 2), "b1": Fraction(1, 2)})
+        credal = CredalSet.from_vertices([ptilde, corner])
+        omitted: dict = {}
+        report = hierarchy_report(u, v, ptilde, credal, omitted)
+        assert list(report) == ["valid", "dist-unbiased", "marginal", "calibrated"]
+        assert {name: type(exc) for name, exc in omitted.items()} == {
+            "sqerr": NonNumericTarget, "unbiased": NonNumericTarget, "range": NonNumericTarget,
+            "pivotal": UniquenessViolated}
+        assert hierarchy_report(u, v, ptilde, credal) == report
+        # valid fails here, and the arrows into the omitted notions are skipped
+        assert not report["valid"].holds
+        assert not any("internal-error" in n for vd in report.values() for n in vd.notes)
 
 
 class TestDistributionRange:

@@ -416,6 +416,23 @@ class TestReportWarnings:
         assert main(["check", path, "--u", "U", "--v", "V", "--notion", "pivotal"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("target", ["C", "K"])
+    def test_average_notions_omitted_for_a_symbol_target_are_warned(self, capsys, target):
+        # the full-distribution verdicts stay; the average-mode ones and the
+        # probability-of-outcome pivot (shared 1/4 or 1/2 at V=0) are left out
+        path = str(Path(__file__).resolve().parent / "scenarios" / "symbol-target.scn")
+        code, out = run_cli(capsys, "report", path, "--u", target, "--v", "V", "--json")
+        report = json.loads(out)
+        assert code == 0
+        assert list(report["verdicts"]) == ["valid", "dist-unbiased", "marginal", "calibrated"]
+        numeric = f"average-mode query needs a numeric target, got {target!r}"
+        assert report["warnings"][:3] == [f"{name} not evaluated: {numeric}"
+                                          for name in ("sqerr", "unbiased", "range")]
+        assert len(report["warnings"]) == 4
+        assert report["warnings"][3].startswith("pivotal safety not evaluated: conditional")
+        _, text = run_cli(capsys, "report", path, "--u", target, "--v", "V")
+        assert text.splitlines()[-4:] == [f"warning: {w}" for w in report["warnings"]]
+
 
 class TestReadableValueErrors:
     """Values in update-rule and event errors print through format_value."""
