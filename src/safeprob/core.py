@@ -381,15 +381,17 @@ class Pmf:
             start=Fraction(0),
         )
 
+    # Both constructors store the law's primitive integer vector (gcd 1),
+    # so two pmfs on one atom tuple are equal iff their integers are.
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Pmf)
+            and self._integers == other._integers
             and self.space.atoms == other.space.atoms
-            and self.as_tuple() == other.as_tuple()
         )
 
     def __hash__(self) -> int:
-        return hash((self.space.atoms, self.as_tuple()))
+        return hash(self._integers)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{z}: {w}" for z, w in self.weights.items() if w)

@@ -35,6 +35,7 @@ from .safety import (
     LEFT_AVERAGE,
     RIGHT_SQUARE,
     Verdict,
+    atom_row,
     equal,
     first_failure,
     notion_residuals,
@@ -230,7 +231,9 @@ def check_decision_safety(
     For every credal vertex P and every supported conditioning value v0,
     the expected loss of the policy under P must equal the pragmatic
     conditional expected loss at v0. Exact rational comparison except for
-    the log score, compared to within 1e-12.
+    the log score, compared to within 1e-12. InfiniteLoss is raised when
+    some vertex puts mass on an atom of infinite realized loss, before any
+    vertex is compared, so the outcome does not depend on vertex order.
     """
     require_one_space(u, v, ptilde, credal)
     verts = require_unique(ptilde, v, credal)
@@ -245,31 +248,30 @@ def check_decision_safety(
             notes.append(
                 f"Bayes-act tie at conditioning value {format_value(vv)} broken canonically"
             )
-    for (vv, row), costs in zip(table.rows.items(), cost):
-        if believed.get(vv) == math.inf:
-            uu = next(uu for (uu, p), c in zip(row.items(), costs) if p and c == math.inf)
-            raise InfiniteLoss(
-                f"believed loss infinite at conditioning value {format_value(vv)}, "
-                f"outcome {format_value(uu)}"
-            )
-
-    atoms, n = ptilde.space.atoms, len(losses)
-    infinite = [i for i, c in enumerate(losses) if c == math.inf]
-    finite = [0 if c == math.inf else c for c in losses]
-    residuals = []
-    if infinite:  # any mass on these atoms makes the realized loss infinite
-        residuals.append(equal(
-            [int(c == math.inf) for c in losses], [0] * n,
-            error=lambda p: InfiniteLoss(
-                f"realized loss infinite at atom "
-                f"{next(atoms[i] for i in infinite if p.weights[atoms[i]])!r} "
-                "under a credal vertex"),
-        ))
+    atoms, finite = ptilde.space.atoms, losses
+    if loss.kind in (LOG, CUSTOM):  # the 0/1 and Brier losses are never infinite
+        for (vv, row), costs in zip(table.rows.items(), cost):
+            if believed.get(vv) == math.inf:
+                uu = next(uu for (uu, p), c in zip(row.items(), costs) if p and c == math.inf)
+                raise InfiniteLoss(
+                    f"believed loss infinite at conditioning value {format_value(vv)}, "
+                    f"outcome {format_value(uu)}"
+                )
+        infinite = [i for i, c in enumerate(losses) if c == math.inf]
+        if infinite:  # mass on these atoms under any vertex makes its realized loss infinite
+            finite = [0 if c == math.inf else c for c in losses]
+            first_failure([equal(
+                atom_row(1, infinite, len(losses)), [0] * len(losses),
+                error=lambda p: InfiniteLoss(
+                    f"realized loss infinite at atom "
+                    f"{next(atoms[i] for i in infinite if p.weights[atoms[i]])!r} "
+                    "under a credal vertex"),
+            )], verts)
     if loss.kind == LOG:
-        residuals += [equal(finite, b, v=vv, tol=LOG_TOLERANCE) for vv, b in believed.items()]
+        residuals = [equal(finite, b, v=vv, tol=LOG_TOLERANCE) for vv, b in believed.items()]
     else:  # the realized loss's mean must be the believed loss at every v0: <loss>|[V]
         realized = Rv.generalized(ptilde.space, "loss", {z: (c,) for z, c in zip(atoms, finite)})
-        residuals += notion_residuals(LEFT_AVERAGE, RIGHT_SQUARE, realized, v, ptilde)
+        residuals = notion_residuals(LEFT_AVERAGE, RIGHT_SQUARE, realized, v, ptilde)
     ce = first_failure(residuals, verts)
     return Verdict(holds=ce is None, counterexample=ce, notes=tuple(notes))
 

@@ -46,6 +46,18 @@ Everything here is a pure function over immutable inputs, and the
 reported counterexample is always the first failure in (stratum, vertex,
 residual) order, so results are deterministic and safe to compute
 concurrently.
+
+When every residual of a list is an exact equality, :func:`first_failure`
+first settles the vertices on which all of them vanish with one packed
+integer product per vertex (Kronecker substitution): row k's coefficient
+of each atom sits in bits [kB, (k+1)B) of that atom's integer, and B is
+the bit length of the largest row 1-norm times the largest integer weight
+of the vertices, so no row's value on a vertex reaches 2^B in absolute
+value. The packed product is the sum of 2^(kB) times row k's value, so it
+is zero only when every row's value is: were row j's the lowest nonzero
+one, the sum would be 2^(jB) times that value plus a multiple of
+2^((j+1)B), and 0 < |value| < 2^B rules that out. This is exact integer
+arithmetic, with no tolerance.
 """
 
 from __future__ import annotations
@@ -267,7 +279,21 @@ def first_failure(residuals: Sequence, vertices: Sequence[Pmf]) -> Optional[Coun
     residual sums coefficient times weight in atom order, skipping zero
     weights; the hull test runs on the integer law of the target. The
     counterexample's ``w`` is left for the caller to set.
+
+    When every residual is an exact equality and there are two vertices or
+    more, the vertices on which every row vanishes are first skipped by one
+    packed product each (see the module docstring); the others are scanned
+    as above, so the first failure and its values are the plain scan's.
     """
+    if len(vertices) > 1 and residuals and all(
+            isinstance(r, Residual) and r.tol is None and r.rows[1] is None
+            for r in residuals):
+        rows = [r.rows[0] for r in residuals]
+        weights = [p.integer_weights() for p in vertices]
+        width = (max(sum(map(abs, row)) for row in rows) * max(map(max, weights))).bit_length()
+        shifts = [k * width for k in range(len(rows))]
+        packed = [sum(map(operator.lshift, col, shifts)) for col in zip(*rows)]
+        vertices = [p for p, ints in zip(vertices, weights) if _dot(packed, ints)]
     for p in vertices:
         ints = p.integer_weights()
         for r in residuals:

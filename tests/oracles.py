@@ -15,13 +15,16 @@ size one up to the rank, with the sum-to-one row always present, solved
 on the ``Fraction`` kernel. A custom loss table's symmetry is audited
 by trying every outcome permutation, as before the two-generator audit,
 and the notion compilers are built by their per-atom ``Fraction`` forms
-(the last six sections of this module).
+(the last six sections of this module). The residual evaluator is the
+plain per-vertex, per-residual scan that predates the packed-product
+prefilter of ``safety.first_failure``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -64,11 +67,13 @@ from safeprob.safety import (
     RIGHT_PLAIN,
     RIGHT_SQUARE,
     Counterexample,
+    HullTest,
     SafetyQuery,
     Verdict,
     atom_row,
     equal,
 )
+from safeprob.safety import hull_membership as integer_hull_membership
 
 
 def set_partitions(items: list) -> list[list[list]]:
@@ -570,6 +575,12 @@ def check_decision_safety(
             total = total + p * term if loss.kind != LOG else total + float(p) * term
         believed[vv] = total
 
+    for p in verts:  # an infinite realized loss anywhere, before any comparison
+        for z in p.space.atoms:
+            if p.weights[z] and loss_value(loss, u.table[z], policy[v.table[z]]) == math.inf:
+                raise InfiniteLoss(
+                    f"realized loss infinite at atom {z!r} under a credal vertex"
+                )
     for p in verts:
         actual = Fraction(0) if loss.kind != LOG else 0.0
         for z in p.space.atoms:
@@ -577,10 +588,6 @@ def check_decision_safety(
             if w == 0:
                 continue
             term = loss_value(loss, u.table[z], policy[v.table[z]])
-            if term == math.inf:
-                raise InfiniteLoss(
-                    f"realized loss infinite at atom {z!r} under a credal vertex"
-                )
             actual = actual + w * term if loss.kind != LOG else actual + float(w) * term
         for vv in supported:
             if not _losses_equal(loss.kind, actual, believed[vv]):
@@ -1057,3 +1064,48 @@ def fraction_compile_policy(ptilde: Pmf, u: Rv, v: Rv, loss: LossFunction):
         for vv, row in table.rows.items() if vv not in table.arbitrary_rows
     }
     return table, policy, cost, believed, [cost[cell] for cell in cells]
+
+
+def _dot(row: list[int], ints: Sequence[int]) -> int:
+    return sum(map(operator.mul, row, ints))
+
+
+def first_failure(residuals: Sequence, vertices: Sequence[Pmf]) -> Optional[Counterexample]:
+    """The evaluator: the first failing residual, scanning ``vertices`` in
+    order and each vertex's residuals in order.
+
+    Exact residuals are decided by the signs of their rows on the vertex's
+    integer weights w, and a failing one's values are read off w exactly:
+    ``lhs . w / (scale * sum of w on denom)``, likewise the bound. A float
+    residual sums coefficient times weight in atom order, skipping zero
+    weights; the hull test runs on the integer law of the target. The
+    counterexample's ``w`` is left for the caller to set.
+    """
+    for p in vertices:
+        ints = p.integer_weights()
+        for r in residuals:
+            if isinstance(r, HullTest):
+                if not integer_hull_membership([sum(ints[i] for i in idx) for idx in r.cells],
+                                               r.hull):
+                    return Counterexample(vertex=p)
+                continue
+            rows = r.rows
+            if rows is None:  # the float form
+                x = p.as_tuple()
+                lhs = sum(c * x[i] for i, c in enumerate(r.lhs) if x[i])
+                if abs(lhs - r.lo) > r.tol:
+                    return Counterexample(vertex=p, v=r.v, u=r.u, lhs=lhs, rhs=r.lo)
+                continue
+            if rows[1] is None:
+                bound = r.lo if _dot(rows[0], ints) else None
+            else:
+                bound = (r.lo if _dot(rows[0], ints) < 0
+                         else r.hi if _dot(rows[1], ints) < 0 else None)
+            if bound is not None:
+                if r.error is not None:
+                    raise r.error(p)
+                total = r.scale * sum(ints if r.denom is None else [ints[i] for i in r.denom])
+                return Counterexample(vertex=p, v=r.v, u=r.u,
+                                      lhs=Fraction(_dot(r.lhs, ints), total),
+                                      rhs=Fraction(_dot(bound, ints), total))
+    return None

@@ -83,6 +83,16 @@ class TestPmf:
         assert p.as_tuple() == tuple(p.weights[z] for z in space.atoms)
         assert sum(p.integer_weights()) == lcm(*(w.denominator for w in p.as_tuple()))
 
+    def test_equality_and_hash_follow_the_integer_weights(self):
+        space = OutcomeSpace(["a", "b", "c"])
+        p = Pmf(space, {"a": Fraction(1, 6), "b": Fraction(1, 2), "c": Fraction(1, 3)})
+        q = Pmf._from_integers(space, (1, 3, 2), 6)
+        assert p == q and hash(p) == hash(q) and p.as_tuple() == q.as_tuple()
+        assert p != Pmf._from_integers(space, (3, 1, 2), 6)
+        other = Pmf._from_integers(OutcomeSpace(["x", "y", "z"]), (1, 3, 2), 6)
+        assert p != other and other != p and p.integer_weights() == other.integer_weights()
+        assert p != (1, 3, 2) and q in {p} and other not in {p}
+
     def test_weights_are_immutable(self):
         space = OutcomeSpace(["a", "b"])
         p = Pmf(space, {"a": 1})
@@ -411,6 +421,10 @@ class TestCredalSet:
         p = Pmf.point_mass(space, "a")
         with pytest.raises(ValidationError):
             CredalSet.from_vertices([p, p])
+        half = Pmf(space, {"a": Fraction(1, 2), "b": Fraction(1, 2)})
+        for twin in (Pmf._from_integers(space, (1, 1), 2), Pmf.uniform(space)):
+            with pytest.raises(ValidationError, match="^vertex form must list distinct vertices$"):
+                CredalSet.from_vertices([half, p, twin])
 
     @pytest.mark.parametrize("atoms", [["x", "y"], ["x"]])
     def test_vertex_form_on_one_space(self, atoms):

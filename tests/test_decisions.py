@@ -264,6 +264,19 @@ class TestDecisionSafety:
         with pytest.raises(InfiniteLoss):
             check_decision_safety(ptilde, u, v, LossFunction(LOG), credal)
 
+    @pytest.mark.parametrize("order", [("u0v0", "u1v0"), ("u1v0", "u0v0")])
+    def test_infinite_realized_loss_raises_in_every_vertex_order(self, order):
+        # the pragmatic rules out U=1 at V=0; the vertex at u0v0 alone
+        # would fail the finite comparison at V=1, whichever comes first
+        space, u, v = product_space(2, 2)
+        ptilde = Pmf(space, {"u0v0": Fraction(1, 2), "u0v1": Fraction(1, 4),
+                             "u1v1": Fraction(1, 4)})
+        credal = CredalSet.from_vertices([Pmf.point_mass(space, z) for z in order])
+        for check in (check_decision_safety, oracles.check_decision_safety):
+            with pytest.raises(InfiniteLoss) as info:
+                check(ptilde, u, v, LossFunction(LOG), credal)
+            assert str(info.value) == "realized loss infinite at atom 'u1v0' under a credal vertex"
+
     def test_tie_note_prints_values_as_reports_do(self):
         space, u, v = product_space(2, 2)
         uniform = Pmf.uniform(space)

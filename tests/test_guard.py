@@ -126,10 +126,10 @@ def test_pmf_equality_and_hash_survive_filled_caches(inst):
     _, _, _, ptilde, credal = inst
     for p in (ptilde, *credal.vertex_list()):
         fresh = Pmf(p.space, dict(p.weights))
-        expected = hash((p.space.atoms, tuple(p.weights[z] for z in p.space.atoms)))
+        scale = math.lcm(*(c.denominator for c in p.as_tuple()))
+        expected = hash(tuple(c * scale for c in p.as_tuple()))  # the primitive integer law
         ints = fresh.integer_weights()
         assert fresh.as_tuple() is fresh.as_tuple() and fresh.integer_weights() is ints
-        scale = math.lcm(*(c.denominator for c in fresh.as_tuple()))
         assert all(type(k) is int for k in ints)
         assert ints == tuple(c * scale for c in fresh.as_tuple())
         assert hash(fresh) == expected == hash(p)
