@@ -10,13 +10,13 @@ ignorable coarsening of the signal.
 """
 
 from safeprob.calibration import (
-    calibration_equivalence,
     check_calibrated_full,
     check_calibrated_mean,
     predicted_distribution_rv,
 )
-from safeprob.core import Rv
+from safeprob.core import Rv, determines
 from safeprob.demos import dilation_scenario
+from safeprob.safety import LEFT_FULL, RIGHT_PLAIN, RIGHT_SQUARE, SafetyQuery, check_safety
 
 print(__doc__)
 
@@ -41,9 +41,16 @@ print("  breaking truth (perfectly anti-correlated):",
       {z: str(w) for z, w in verdict.counterexample.vertex.weights.items() if w})
 
 print("\nThree equivalent faces of calibration, cross-checked:")
-out = calibration_equivalence(u, v, ptilde, credal)
-print(f"  direct check: {out['calibrated']}")
-print(f"  safe given the forecast variable: {out['safe_given_predicted']}")
-witness = out["ignore_witness"]
+print(f"  direct check: {check_calibrated_full(u, v, ptilde, credal).holds}")
+safe_given_forecast = check_safety(SafetyQuery(u, LEFT_FULL, pred.as_rv, RIGHT_PLAIN),
+                                   ptilde, credal).holds
+print(f"  safe given the forecast variable: {safe_given_forecast}")
+# an ignorable coarsening: one that V determines, with U|[V] holding per stratum of it
+witness = None
+for cand in (Rv.constant(scn["space"]), v, pred.as_rv):
+    marginal = SafetyQuery(u, LEFT_FULL, v, RIGHT_SQUARE, stratifier=cand)
+    if determines(v, cand, ptilde) is not None and check_safety(marginal, ptilde, credal).holds:
+        witness = cand
+        break
 print(f"  ignorable coarsening found: {witness is not None}"
       + (f" (constant: {len(set(witness.table.values())) == 1})" if witness else ""))

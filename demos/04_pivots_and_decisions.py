@@ -20,12 +20,8 @@ from safeprob.decisions import (
     decision_loss_table,
 )
 from safeprob.demos import monty_scenario
-from safeprob.pivots import (
-    canonical_pivot,
-    check_pivot,
-    check_pivotal_safety,
-    pivot_equivalence,
-)
+from safeprob.pivots import canonical_pivot, check_pivot, check_pivotal_safety
+from safeprob.safety import LEFT_FULL, RIGHT_SQUARE, SafetyQuery, check_safety
 
 print(__doc__)
 
@@ -34,12 +30,21 @@ ptilde, u, v, credal = scn["ptilde"], scn["U"], scn["V"], scn["credal"]
 
 verdict = check_pivot(scn["pivot"], u, v, credal)
 print(f"indicator pivot: is_pivot={verdict.is_pivot}, simple={verdict.is_simple}")
-print("pivotally safe:", check_pivotal_safety(ptilde, u, v, scn["pivot"], credal).holds)
+indicator_safe = check_pivotal_safety(ptilde, u, v, scn["pivot"], credal).holds
+print("pivotally safe:", indicator_safe)
 
 spec = canonical_pivot(ptilde, u, v)
 print("\nprobability-of-outcome pivot values:",
       sorted({str(p[0]) for p in spec.mapping.values()}))
-print("three-way equivalence:", pivot_equivalence(ptilde, u, v, credal))
+outcome_prob = SafetyQuery(spec.as_rv(u, v), LEFT_FULL, v, RIGHT_SQUARE)
+print("three-way equivalence:", {
+    "marginal_safe": check_safety(outcome_prob, ptilde, credal).holds,
+    "pivotal_safe": check_pivotal_safety(ptilde, u, v, spec, credal).holds,
+    # the indicator pivot checked above is a witness when simple and safe
+    "simple_pivot_exists": verdict.is_simple and indicator_safe,
+    # canonical_pivot raises UniquenessViolated when two outcomes tie
+    "hypothesis_met": True,
+})
 
 print("\nDecision table under each loss (exact rationals where possible):")
 for kind in (ZERO_ONE, BRIER, LOG):

@@ -33,7 +33,6 @@ from .core import (  # noqa: F401
     determines,
     enumerate_vertices,
     essentially_unique,
-    support,
 )
 from .safety import (  # noqa: F401
     Hull,

@@ -1,4 +1,4 @@
-"""Calibration checks and the ignore/equivalence structure around them.
+"""Calibration checks and the test of whether a conditional ignores a variable.
 
 A forecaster is calibrated when, conditioned on issuing a particular
 forecast, the actual distribution of the target equals that forecast.
@@ -33,19 +33,12 @@ from .core import (
     joint_rv,
     value_sort_key,
 )
-from .errors import (
-    EquivalenceViolation,
-    MissingDetermination,
-    NonNumericTarget,
-)
+from .errors import MissingDetermination, NonNumericTarget
 from .safety import (
     LEFT_AVERAGE,
     LEFT_FULL,
     RIGHT_PLAIN,
-    RIGHT_SQUARE,
-    SafetyQuery,
     Verdict,
-    check_safety,
     first_failure,
     notion_residuals,
     require_one_space,
@@ -131,6 +124,7 @@ def ignores(ptilde: Pmf, u: Rv, v: Rv, vprime: Rv) -> bool:
     when every supported joint conditioning cell yields the same target
     row as conditioning on vprime alone.
     """
+    require_one_space(u, v, vprime, ptilde)
     if determines(v, vprime, ptilde) is None:
         raise MissingDetermination(
             f"{v.name} does not determine {vprime.name} almost surely"
@@ -139,47 +133,3 @@ def ignores(ptilde: Pmf, u: Rv, v: Rv, vprime: Rv) -> bool:
     rows_prime = conditional_table(ptilde, u, vprime).rows
     return all(row == rows_prime[cell[1]] for cell, row in joint.rows.items()
                if cell not in joint.arbitrary_rows)
-
-
-def calibration_equivalence(u: Rv, v: Rv, ptilde: Pmf, credal: CredalSet) -> dict:
-    """Cross-check the three faces of calibration.
-
-    Computes (a) the direct calibration check, (b) plain safety with the
-    forecast map as conditioner, and (c) a search for a coarsening of the
-    conditioner that is ignored while marginal validity holds per stratum
-    of it. The three must agree; disagreement raises EquivalenceViolation
-    because it can only come from an implementation bug.
-
-    Returns ``{"calibrated", "safe_given_predicted", "ignore_witness"}``.
-    """
-    calibrated = check_calibrated_full(u, v, ptilde, credal).holds
-    pred = predicted_distribution_rv(ptilde, u, v).as_rv
-    safe_given_predicted = check_safety(
-        SafetyQuery(u, LEFT_FULL, pred, RIGHT_PLAIN), ptilde, credal
-    ).holds
-
-    witness = None
-    candidates = [Rv.constant(ptilde.space, "0", 0), v, pred]
-    for cand in candidates:
-        if determines(v, cand, ptilde) is None:
-            continue
-        verdict = check_safety(
-            SafetyQuery(u, LEFT_FULL, v, RIGHT_SQUARE, stratifier=cand),
-            ptilde, credal,
-        )
-        if verdict.holds:
-            witness = cand
-            break
-
-    results = {calibrated, safe_given_predicted, witness is not None}
-    if len(results) != 1:
-        raise EquivalenceViolation(
-            "calibration equivalence broke: "
-            f"direct={calibrated} via-forecast={safe_given_predicted} "
-            f"witness={witness!r}"
-        )
-    return {
-        "calibrated": calibrated,
-        "safe_given_predicted": safe_given_predicted,
-        "ignore_witness": witness,
-    }

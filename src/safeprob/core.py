@@ -30,7 +30,6 @@ from typing import Iterable, Mapping, Optional, Union
 from ._linalg import UNIQUE, integer_row, matrix_rank, solve_linear
 from .errors import (
     InfeasibleCredalSet,
-    NonNumericTarget,
     SizeLimit,
     ValidationError,
     ZeroProbabilityConditioning,
@@ -278,16 +277,6 @@ class Rv:
         """Per atom, the position of its value in :meth:`range`."""
         return self._levels()[2]
 
-    def range_given(self, other: "Rv", other_value) -> list:
-        """Values of self on atoms where ``other`` takes ``other_value``."""
-        atoms = self.space.atoms
-        vals = {self.table[atoms[i]] for i in other.cells().get(other_value, ())}
-        return sorted(vals, key=value_sort_key)
-
-    def compose(self, name: str, func) -> "Rv":
-        """The coarsening obtained by applying ``func`` to every value."""
-        return Rv.generalized(self.space, name, {z: func(v) for z, v in self.table.items()})
-
     def __repr__(self) -> str:
         return f"Rv({self.name!r})"
 
@@ -345,22 +334,9 @@ class Pmf:
         return p
 
     @classmethod
-    def point_mass(cls, space: OutcomeSpace, atom: str) -> "Pmf":
-        return cls(space, {atom: Fraction(1)})
-
-    @classmethod
     def uniform(cls, space: OutcomeSpace) -> "Pmf":
         n = len(space.atoms)
         return cls(space, {z: Fraction(1, n) for z in space.atoms})
-
-    @classmethod
-    def normalized(cls, space: OutcomeSpace, weights: Mapping) -> "Pmf":
-        """Build from nonnegative weights, rescaling to total mass one."""
-        ws = {z: as_rational(w) for z, w in weights.items()}
-        total = sum(ws.values())
-        if total <= 0:
-            raise ValidationError("total weight must be positive")
-        return cls(space, {z: w / total for z, w in ws.items()})
 
     def __call__(self, atom: str) -> Fraction:
         return self.weights[atom]
@@ -398,12 +374,6 @@ class Pmf:
         return f"Pmf({inner})"
 
 
-def mix(p: Pmf, q: Pmf, weight: Fraction) -> Pmf:
-    """Convex combination ``weight * p + (1 - weight) * q``."""
-    w = as_rational(weight)
-    return Pmf(p.space, {z: w * p.weights[z] + (1 - w) * q.weights[z] for z in p.space.atoms})
-
-
 @dataclass(frozen=True)
 class LinearConstraint:
     """Linear (in)equality over atom probabilities: sum coeffs[z]*P(z) rel rhs."""
@@ -421,17 +391,6 @@ class LinearConstraint:
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "relation", relation)
         object.__setattr__(self, "rhs", as_rational(rhs))
-
-    def satisfied_by(self, p: Pmf) -> bool:
-        lhs = sum(
-            (c * p.weights[z] for z, c in self.coeffs.items()),
-            start=Fraction(0),
-        )
-        if self.relation == "=":
-            return lhs == self.rhs
-        if self.relation == "<=":
-            return lhs <= self.rhs
-        return lhs >= self.rhs
 
 
 @dataclass(frozen=True)
@@ -561,11 +520,6 @@ def enumerate_vertices(
     return [Pmf._from_integers(space, key, scale) for key, scale in found]
 
 
-def support(p: Pmf, x: Rv) -> set:
-    """Values of ``x`` receiving positive probability under ``p``."""
-    return {x.table[z] for z, w in p.weights.items() if w}
-
-
 def determines(
     x: Rv, y: Rv, p: Optional[Pmf] = None
 ) -> Optional[dict]:
@@ -596,28 +550,6 @@ def condition(p: Pmf, w: Rv, value) -> Pmf:
         {z: (p.weights[z] / mass if w.table[z] == value else Fraction(0))
          for z in p.space.atoms},
     )
-
-
-def value_pmf(p: Pmf, x: Rv) -> dict:
-    """Distribution of ``x`` under ``p`` as a map over the full range."""
-    out = {v: Fraction(0) for v in x.range()}
-    for z in p.space.atoms:
-        out[x.table[z]] += p.weights[z]
-    return out
-
-
-def expectation(p: Pmf, u: Rv) -> NumericValue:
-    """Exact vector expectation of a numeric variable."""
-    if not u.is_numeric:
-        raise NonNumericTarget(f"rv {u.name!r} is not numeric")
-    arity = len(next(iter(u.table.values())))
-    acc = [Fraction(0)] * arity
-    for z in p.space.atoms:
-        w = p.weights[z]
-        if w:
-            for j, c in enumerate(u.table[z]):
-                acc[j] += w * c
-    return tuple(acc)
 
 
 @dataclass(frozen=True)

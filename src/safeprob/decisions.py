@@ -35,7 +35,6 @@ from .safety import (
     LEFT_AVERAGE,
     RIGHT_SQUARE,
     Verdict,
-    atom_row,
     equal,
     first_failure,
     notion_residuals,
@@ -260,13 +259,10 @@ def check_decision_safety(
         infinite = [i for i, c in enumerate(losses) if c == math.inf]
         if infinite:  # mass on these atoms under any vertex makes its realized loss infinite
             finite = [0 if c == math.inf else c for c in losses]
-            first_failure([equal(
-                atom_row(1, infinite, len(losses)), [0] * len(losses),
-                error=lambda p: InfiniteLoss(
-                    f"realized loss infinite at atom "
-                    f"{next(atoms[i] for i in infinite if p.weights[atoms[i]])!r} "
-                    "under a credal vertex"),
-            )], verts)
+            hit = next((i for p in verts for i in infinite if p.as_tuple()[i]), None)
+            if hit is not None:  # the first such atom of the first such vertex
+                raise InfiniteLoss(f"realized loss infinite at atom {atoms[hit]!r} "
+                                   "under a credal vertex")
     if loss.kind == LOG:
         residuals = [equal(finite, b, v=vv, tol=LOG_TOLERANCE) for vv, b in believed.items()]
     else:  # the realized loss's mean must be the believed loss at every v0: <loss>|[V]
@@ -282,6 +278,7 @@ def decision_loss_table(
     """Believed conditional losses per conditioning value and actual
     expected losses per credal vertex, for reporting alongside
     :func:`check_decision_safety`."""
+    require_one_space(u, v, ptilde, credal)
     _, policy, _, believed, losses = _compile_policy(ptilde, u, v, loss)
     xs = [p.as_tuple() for p in credal.vertex_list()]
     return {"policy": policy, "believed": believed,

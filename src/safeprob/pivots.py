@@ -22,9 +22,7 @@ integer sums. Pivot values reach only the spec and the verdicts.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .core import (
@@ -38,19 +36,14 @@ from .core import (
     value_sort_key,
 )
 from .errors import (
-    EquivalenceViolation,
     NotAPivot,
     NotFullSupport,
     UniquenessViolated,
     ValidationError,
 )
 from .safety import (
-    LEFT_FULL,
-    RIGHT_SQUARE,
-    SafetyQuery,
     Verdict,
     atom_row,
-    check_safety,
     equal,
     first_failure,
     require_one_space,
@@ -58,10 +51,6 @@ from .safety import (
 )
 
 _UNDEFINED = object()
-
-#: Budget of the exhaustive simple-pivot search in :func:`pivot_equivalence`:
-#: spaces with more atoms are not searched (the search is factorial).
-_SEARCH_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -259,89 +248,8 @@ def canonical_pivot(ptilde: Pmf, u: Rv, v: Rv) -> PivotSpec:
     values receive the same nonzero conditional probability; otherwise
     raises UniquenessViolated naming the clash.
     """
+    require_one_space(u, v, ptilde)
     spec, clash = _outcome_probability_spec(ptilde, u, v)
     if clash is not None:
         raise clash
     return spec
-
-
-def pivot_equivalence(ptilde: Pmf, u: Rv, v: Rv, credal: CredalSet) -> dict:
-    """Cross-check the three faces of discrete pivotal safety.
-
-    Computes (a) marginal validity of the probability-of-outcome map,
-    (b) pivotal safety with that map, and (c) existence of any simple
-    pivot achieving pivotal safety, searched exhaustively on spaces of at
-    most ``_SEARCH_CAP`` (8) atoms (beyond the cap (c) inherits (b), which is
-    the witness direction). Under the uniqueness hypothesis (no two
-    realizable outcomes share a nonzero conditional probability at any
-    conditioning value) the three must agree and disagreement raises
-    EquivalenceViolation, since it can only be an implementation bug;
-    without the hypothesis the probability-of-outcome map need not be a
-    pivot and only the individual answers are reported.
-
-    Returns ``{"marginal_safe", "pivotal_safe", "simple_pivot_exists",
-    "hypothesis_met"}``.
-    """
-    spec, clash = _outcome_probability_spec(ptilde, u, v)
-    hypothesis_met = clash is None
-    uprime = spec.as_rv(u, v)
-    marginal_safe = check_safety(
-        SafetyQuery(uprime, LEFT_FULL, v, RIGHT_SQUARE), ptilde, credal
-    ).holds
-    try:
-        pivotal_safe = check_pivotal_safety(ptilde, u, v, spec, credal).holds
-    except NotAPivot:
-        pivotal_safe = False
-
-    searched = len(ptilde.space.atoms) <= _SEARCH_CAP
-    if searched:
-        simple_exists = _search_simple_pivot(ptilde, u, v, credal)
-    else:
-        simple_exists = pivotal_safe
-
-    if hypothesis_met and (
-        marginal_safe != pivotal_safe or (searched and simple_exists != pivotal_safe)
-    ):
-        raise EquivalenceViolation(
-            "pivot equivalence broke: "
-            f"marginal={marginal_safe} pivotal={pivotal_safe} "
-            f"simple-exists={simple_exists}"
-        )
-    return {
-        "marginal_safe": marginal_safe,
-        "pivotal_safe": pivotal_safe,
-        "simple_pivot_exists": simple_exists,
-        "hypothesis_met": hypothesis_met,
-    }
-
-
-def _search_simple_pivot(ptilde: Pmf, u: Rv, v: Rv, credal: CredalSet) -> bool:
-    """Exhaustive search over relabelled simple pivots.
-
-    A simple pivot restricted to each conditioning value is a bijection
-    onto the pivot range, and pivotal safety only compares laws, so pivot
-    values can be fixed to 0..k-1 without loss of generality.
-    """
-    v_values = v.range()
-    row_ranges = {vv: u.range_given(v, vv) for vv in v_values}
-    sizes = {len(r) for r in row_ranges.values()}
-    if len(sizes) != 1:
-        return False
-    k = sizes.pop()
-    labels = [(Fraction(i),) for i in range(k)]
-    per_v_choices = [
-        [list(zip(row_ranges[vv], perm)) for perm in itertools.permutations(labels)]
-        for vv in v_values
-    ]
-    for combo in itertools.product(*per_v_choices):
-        mapping = {}
-        for vv, assignment in zip(v_values, combo):
-            for uu, label in assignment:
-                mapping[(uu, vv)] = label
-        spec = PivotSpec(name="searched", mapping=mapping)
-        try:
-            if check_pivotal_safety(ptilde, u, v, spec, credal).holds:
-                return True
-        except NotAPivot:
-            continue
-    return False

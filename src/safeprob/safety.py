@@ -67,7 +67,7 @@ import math
 import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from ._linalg import UNIQUE, matrix_rank, solve_linear
 from .core import (
@@ -219,8 +219,7 @@ class Residual:
     functional times one ``scale`` > 0 (a constant c is c * P(all atoms));
     ``rows`` holds ``lhs - lo`` and ``hi - lhs`` (None for an equality).
     ``v`` and ``u`` label the counterexample: the values of ``lhs`` and of
-    the violated bound divided by P(atoms ``denom``), by 1 when None.
-    ``error`` makes an exact failure raise ``error(vertex)`` instead. With
+    the violated bound divided by P(atoms ``denom``), by 1 when None. With
     ``tol`` the residual is the float form: float coefficients in ``lhs``,
     the float claim as ``lo`` and ``hi``, compared within ``tol``, no rows."""
 
@@ -232,7 +231,6 @@ class Residual:
     u: object = None
     denom: Optional[Sequence[int]] = None
     tol: Optional[float] = None
-    error: Optional[Callable[[Pmf], Exception]] = None
     rows: Optional[tuple] = field(default=None, init=False)
 
     def __post_init__(self):
@@ -314,8 +312,6 @@ def first_failure(residuals: Sequence, vertices: Sequence[Pmf]) -> Optional[Coun
                 bound = (r.lo if _dot(rows[0], ints) < 0
                          else r.hi if _dot(rows[1], ints) < 0 else None)
             if bound is not None:
-                if r.error is not None:
-                    raise r.error(p)
                 total = r.scale * sum(ints if r.denom is None else [ints[i] for i in r.denom])
                 return Counterexample(vertex=p, v=r.v, u=r.u,
                                       lhs=Fraction(_dot(r.lhs, ints), total),

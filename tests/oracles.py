@@ -15,9 +15,19 @@ size one up to the rank, with the sum-to-one row always present, solved
 on the ``Fraction`` kernel. A custom loss table's symmetry is audited
 by trying every outcome permutation, as before the two-generator audit,
 and the notion compilers are built by their per-atom ``Fraction`` forms
-(the last six sections of this module). The residual evaluator is the
-plain per-vertex, per-residual scan that predates the packed-product
-prefilter of ``safety.first_failure``.
+(the "Reference ..." sections of this module but the last). The residual
+evaluator is the plain per-vertex, per-residual scan that predates the
+packed-product prefilter of ``safety.first_failure``.
+
+Two sections hold no older form of library code. The value-level helpers
+(point masses, normalized weights, mixtures, coarsenings, value laws and
+expectations, constraint tests) are the constructors and exact sums that
+only the tests use. The last section, the reference theorem cross-checks,
+runs the library's checkers on the paper's equivalences: direct
+calibration, safety given the forecast and an ignorable coarsening of the
+conditioner; and marginal validity of the probability-of-outcome map,
+pivotal safety with it and, by exhaustive search on small spaces, with
+some simple pivot.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ import operator
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
+from safeprob import calibration, pivots, safety
 from safeprob.calibration import PredictedDistributionRv, encode_row
 from safeprob.core import (
     _SIZE_LIMIT_ENV,
@@ -38,16 +49,16 @@ from safeprob.core import (
     Pmf,
     Rv,
     condition,
+    as_rational,
     determines,
-    expectation,
     format_value,
     joint_rv,
     size_limit,
-    value_pmf,
     value_sort_key,
 )
 from safeprob.decisions import CUSTOM, LOG, LOG_TOLERANCE, LossFunction, bayes_act, loss_value
 from safeprob.errors import (
+    EquivalenceViolation,
     InfeasibleCredalSet,
     InfiniteLoss,
     NonNumericTarget,
@@ -74,6 +85,78 @@ from safeprob.safety import (
     equal,
 )
 from safeprob.safety import hull_membership as integer_hull_membership
+
+
+# ---------------------------------------------------------------------------
+# Value-level helpers.
+#
+# Constructors, coarsenings and exact sums over the library's objects that
+# only the tests call, as free functions.
+
+
+def point_mass(space: OutcomeSpace, atom: str) -> Pmf:
+    return Pmf(space, {atom: Fraction(1)})
+
+
+def normalized(space: OutcomeSpace, weights: Mapping) -> Pmf:
+    """Build from nonnegative weights, rescaling to total mass one."""
+    ws = {z: as_rational(w) for z, w in weights.items()}
+    total = sum(ws.values())
+    if total <= 0:
+        raise ValidationError("total weight must be positive")
+    return Pmf(space, {z: w / total for z, w in ws.items()})
+
+
+def mix(p: Pmf, q: Pmf, weight: Fraction) -> Pmf:
+    """Convex combination ``weight * p + (1 - weight) * q``."""
+    w = as_rational(weight)
+    return Pmf(p.space, {z: w * p.weights[z] + (1 - w) * q.weights[z] for z in p.space.atoms})
+
+
+def compose(x: Rv, name: str, func) -> Rv:
+    """The coarsening obtained by applying ``func`` to every value of ``x``."""
+    return Rv.generalized(x.space, name, {z: func(v) for z, v in x.table.items()})
+
+
+def range_given(x: Rv, other: Rv, other_value) -> list:
+    """Values of ``x`` on atoms where ``other`` takes ``other_value``."""
+    atoms = x.space.atoms
+    vals = {x.table[atoms[i]] for i in other.cells().get(other_value, ())}
+    return sorted(vals, key=value_sort_key)
+
+
+def satisfied_by(c: LinearConstraint, p: Pmf) -> bool:
+    lhs = sum(
+        (coef * p.weights[z] for z, coef in c.coeffs.items()),
+        start=Fraction(0),
+    )
+    if c.relation == "=":
+        return lhs == c.rhs
+    if c.relation == "<=":
+        return lhs <= c.rhs
+    return lhs >= c.rhs
+
+
+def value_pmf(p: Pmf, x: Rv) -> dict:
+    """Distribution of ``x`` under ``p`` as a map over the full range."""
+    out = {v: Fraction(0) for v in x.range()}
+    for z in p.space.atoms:
+        out[x.table[z]] += p.weights[z]
+    return out
+
+
+def expectation(p: Pmf, u: Rv) -> tuple[Fraction, ...]:
+    """Exact vector expectation of a numeric variable."""
+    if not u.is_numeric:
+        raise NonNumericTarget(f"rv {u.name!r} is not numeric")
+    arity = len(next(iter(u.table.values())))
+    acc = [Fraction(0)] * arity
+    for z in p.space.atoms:
+        w = p.weights[z]
+        if w:
+            for j, c in enumerate(u.table[z]):
+                acc[j] += w * c
+    return tuple(acc)
 
 
 def set_partitions(items: list) -> list[list[list]]:
@@ -844,7 +927,7 @@ def enumerate_vertices(
         if any(v < 0 for v in x) or sum(x) != 1:
             continue
         p = Pmf(space, dict(zip(space.atoms, x)))
-        if all(c.satisfied_by(p) for c in constraints):
+        if all(satisfied_by(c, p) for c in constraints):
             found.add(x)
     if not found:
         raise InfeasibleCredalSet("no distribution satisfies the constraints")
@@ -1006,7 +1089,7 @@ def fraction_outcome_probability_spec(ptilde: Pmf, u: Rv, v: Rv) -> PivotSpec:
     table = fraction_conditional_table(ptilde, u, v)
     return PivotSpec(name=f"prob({u.name}|{v.name})", mapping={
         (uu, vv): (Fraction(table.rows[vv][uu]),)
-        for vv in v.range() for uu in u.range_given(v, vv)
+        for vv in v.range() for uu in range_given(u, v, vv)
     })
 
 
@@ -1102,10 +1185,149 @@ def first_failure(residuals: Sequence, vertices: Sequence[Pmf]) -> Optional[Coun
                 bound = (r.lo if _dot(rows[0], ints) < 0
                          else r.hi if _dot(rows[1], ints) < 0 else None)
             if bound is not None:
-                if r.error is not None:
-                    raise r.error(p)
                 total = r.scale * sum(ints if r.denom is None else [ints[i] for i in r.denom])
                 return Counterexample(vertex=p, v=r.v, u=r.u,
                                       lhs=Fraction(_dot(r.lhs, ints), total),
                                       rhs=Fraction(_dot(bound, ints), total))
     return None
+
+
+# ---------------------------------------------------------------------------
+# Reference theorem cross-checks.
+#
+# The paper's equivalences, run on the library's checkers: each function
+# computes the faces of one theorem and raises EquivalenceViolation when
+# they disagree, which can only come from a bug in those checkers. The
+# equivalence suites in ``tests/test_calibration.py``,
+# ``tests/test_pivots.py`` and ``tests/test_acceptance.py`` call them.
+
+
+def calibration_equivalence(u: Rv, v: Rv, ptilde: Pmf, credal: CredalSet) -> dict:
+    """Cross-check the three faces of calibration.
+
+    Computes (a) the direct calibration check, (b) plain safety with the
+    forecast map as conditioner, and (c) a search for a coarsening of the
+    conditioner that is ignored while marginal validity holds per stratum
+    of it. The three must agree; disagreement raises EquivalenceViolation
+    because it can only come from an implementation bug.
+
+    Returns ``{"calibrated", "safe_given_predicted", "ignore_witness"}``.
+    """
+    calibrated = calibration.check_calibrated_full(u, v, ptilde, credal).holds
+    pred = calibration.predicted_distribution_rv(ptilde, u, v).as_rv
+    safe_given_predicted = safety.check_safety(
+        SafetyQuery(u, LEFT_FULL, pred, RIGHT_PLAIN), ptilde, credal
+    ).holds
+
+    witness = None
+    candidates = [Rv.constant(ptilde.space, "0", 0), v, pred]
+    for cand in candidates:
+        if determines(v, cand, ptilde) is None:
+            continue
+        verdict = safety.check_safety(
+            SafetyQuery(u, LEFT_FULL, v, RIGHT_SQUARE, stratifier=cand),
+            ptilde, credal,
+        )
+        if verdict.holds:
+            witness = cand
+            break
+
+    results = {calibrated, safe_given_predicted, witness is not None}
+    if len(results) != 1:
+        raise EquivalenceViolation(
+            "calibration equivalence broke: "
+            f"direct={calibrated} via-forecast={safe_given_predicted} "
+            f"witness={witness!r}"
+        )
+    return {
+        "calibrated": calibrated,
+        "safe_given_predicted": safe_given_predicted,
+        "ignore_witness": witness,
+    }
+
+
+#: Budget of the exhaustive simple-pivot search in :func:`pivot_equivalence`:
+#: spaces with more atoms are not searched (the search is factorial).
+_SEARCH_CAP = 8
+
+
+def pivot_equivalence(ptilde: Pmf, u: Rv, v: Rv, credal: CredalSet) -> dict:
+    """Cross-check the three faces of discrete pivotal safety.
+
+    Computes (a) marginal validity of the probability-of-outcome map,
+    (b) pivotal safety with that map, and (c) existence of any simple
+    pivot achieving pivotal safety, searched exhaustively on spaces of at
+    most ``_SEARCH_CAP`` (8) atoms (beyond the cap (c) inherits (b), which is
+    the witness direction). Under the uniqueness hypothesis (no two
+    realizable outcomes share a nonzero conditional probability at any
+    conditioning value) the three must agree and disagreement raises
+    EquivalenceViolation, since it can only be an implementation bug;
+    without the hypothesis the probability-of-outcome map need not be a
+    pivot and only the individual answers are reported.
+
+    Returns ``{"marginal_safe", "pivotal_safe", "simple_pivot_exists",
+    "hypothesis_met"}``.
+    """
+    spec, clash = pivots._outcome_probability_spec(ptilde, u, v)
+    hypothesis_met = clash is None
+    uprime = spec.as_rv(u, v)
+    marginal_safe = safety.check_safety(
+        SafetyQuery(uprime, LEFT_FULL, v, RIGHT_SQUARE), ptilde, credal
+    ).holds
+    try:
+        pivotal_safe = pivots.check_pivotal_safety(ptilde, u, v, spec, credal).holds
+    except NotAPivot:
+        pivotal_safe = False
+
+    searched = len(ptilde.space.atoms) <= _SEARCH_CAP
+    if searched:
+        simple_exists = _search_simple_pivot(ptilde, u, v, credal)
+    else:
+        simple_exists = pivotal_safe
+
+    if hypothesis_met and (
+        marginal_safe != pivotal_safe or (searched and simple_exists != pivotal_safe)
+    ):
+        raise EquivalenceViolation(
+            "pivot equivalence broke: "
+            f"marginal={marginal_safe} pivotal={pivotal_safe} "
+            f"simple-exists={simple_exists}"
+        )
+    return {
+        "marginal_safe": marginal_safe,
+        "pivotal_safe": pivotal_safe,
+        "simple_pivot_exists": simple_exists,
+        "hypothesis_met": hypothesis_met,
+    }
+
+
+def _search_simple_pivot(ptilde: Pmf, u: Rv, v: Rv, credal: CredalSet) -> bool:
+    """Exhaustive search over relabelled simple pivots.
+
+    A simple pivot restricted to each conditioning value is a bijection
+    onto the pivot range, and pivotal safety only compares laws, so pivot
+    values can be fixed to 0..k-1 without loss of generality.
+    """
+    v_values = v.range()
+    row_ranges = {vv: range_given(u, v, vv) for vv in v_values}
+    sizes = {len(r) for r in row_ranges.values()}
+    if len(sizes) != 1:
+        return False
+    k = sizes.pop()
+    labels = [(Fraction(i),) for i in range(k)]
+    per_v_choices = [
+        [list(zip(row_ranges[vv], perm)) for perm in itertools.permutations(labels)]
+        for vv in v_values
+    ]
+    for combo in itertools.product(*per_v_choices):
+        mapping = {}
+        for vv, assignment in zip(v_values, combo):
+            for uu, label in assignment:
+                mapping[(uu, vv)] = label
+        spec = PivotSpec(name="searched", mapping=mapping)
+        try:
+            if pivots.check_pivotal_safety(ptilde, u, v, spec, credal).holds:
+                return True
+        except NotAPivot:
+            continue
+    return False

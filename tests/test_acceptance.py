@@ -20,10 +20,17 @@ from conftest import (
     pivotal_instance,
     rational_pmf,
 )
-from oracles import coarsening_quantifier_oracle
+from oracles import (
+    calibration_equivalence,
+    coarsening_quantifier_oracle,
+    compose,
+    pivot_equivalence,
+    support,
+    value_pmf,
+)
 from safeprob import bundled_scenario
-from safeprob.calibration import calibration_equivalence, check_calibrated_full
-from safeprob.core import Rv, condition, determines, joint_rv, support, value_pmf
+from safeprob.calibration import check_calibrated_full
+from safeprob.core import Rv, condition, determines, joint_rv
 from safeprob.decisions import (
     BRIER,
     ZERO_ONE,
@@ -45,7 +52,7 @@ from safeprob.confidence import (
     normal_cdf,
     normal_location,
 )
-from safeprob.pivots import check_pivot, check_pivotal_safety, pivot_equivalence
+from safeprob.pivots import check_pivot, check_pivotal_safety
 from safeprob.safety import (
     LEFT_AVERAGE,
     LEFT_FULL,
@@ -175,7 +182,7 @@ def test_c3_hierarchy_property_suite():
                     w = v
                 elif choice == 1:
                     g = {vv: rng.randint(0, 1) for vv in v.range()}
-                    w = v.compose("W", lambda val: (Fraction(g[val]),))
+                    w = compose(v, "W", lambda val: (Fraction(g[val]),))
                 else:
                     w = Rv.constant(inst["space"], "0")
                 strat = check_safety(
@@ -250,7 +257,7 @@ def test_c4_theorem_equivalence_suites():
                     inst["space"], u, v, rational_pmf(rng, v.range()),
                     {vv: rows[group[vv]] for vv in v.range()},
                 )
-            vprime = v.compose("V'", lambda val: (Fraction(group[val]),))
+            vprime = compose(v, "V'", lambda val: (Fraction(group[val]),))
             clauses = _independent_ignore_clauses(ptilde, u, v, vprime)
             lib = ignores(ptilde, u, v, vprime)
             assert len(set(clauses) | {lib}) == 1, (clauses, lib)

@@ -11,8 +11,8 @@ from conftest import (
     product_space,
     rational_pmf,
 )
+from oracles import calibration_equivalence, compose, expectation, support, value_pmf
 from safeprob.calibration import (
-    calibration_equivalence,
     check_calibrated_full,
     check_calibrated_mean,
     ignores,
@@ -25,10 +25,7 @@ from safeprob.core import (
     Rv,
     condition,
     determines,
-    expectation,
     joint_rv,
-    support,
-    value_pmf,
 )
 from safeprob.demos import dilation_scenario
 from safeprob.errors import MissingDetermination
@@ -246,7 +243,7 @@ class TestIgnores:
                     inst["space"], u, v, rational_pmf(rng, v.range()),
                     {vv: rows[group[vv]] for vv in v.range()},
                 )
-            vprime = v.compose("V'", lambda val: (Fraction(group[val]),))
+            vprime = compose(v, "V'", lambda val: (Fraction(group[val]),))
 
             pair = joint_rv(v, vprime)
             rows_prime = {pv: value_pmf(condition(ptilde, vprime, pv), u)
@@ -284,7 +281,7 @@ class TestIgnores:
                                 inst["ptilde"], inst["credal"]).holds:
                 continue
             group = {vv: rng.randrange(2) for vv in v.range()}
-            vprime = v.compose("V'", lambda val: (Fraction(group[val]),))
+            vprime = compose(v, "V'", lambda val: (Fraction(group[val]),))
             if not ignores(inst["ptilde"], u, v, vprime):
                 continue
             assert check_safety(SafetyQuery(u, LEFT_FULL, vprime, RIGHT_PLAIN),
@@ -342,7 +339,7 @@ class TestCoarseningPreservation:
             if not check_calibrated_full(u, inst["V"], inst["ptilde"], inst["credal"]).holds:
                 continue
             f = {uu: rng.randint(0, 1) for uu in u.range()}
-            coarse = u.compose("f(U)", lambda val: (Fraction(f[val]),))
+            coarse = compose(u, "f(U)", lambda val: (Fraction(f[val]),))
             assert check_calibrated_full(
                 coarse, inst["V"], inst["ptilde"], inst["credal"]
             ).holds

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import normalized, point_mass
 from conftest import pivotal_instance, product_space
 from safeprob.core import CredalSet, Pmf, format_value
 from safeprob.decisions import (
@@ -271,7 +272,7 @@ class TestDecisionSafety:
         space, u, v = product_space(2, 2)
         ptilde = Pmf(space, {"u0v0": Fraction(1, 2), "u0v1": Fraction(1, 4),
                              "u1v1": Fraction(1, 4)})
-        credal = CredalSet.from_vertices([Pmf.point_mass(space, z) for z in order])
+        credal = CredalSet.from_vertices([point_mass(space, z) for z in order])
         for check in (check_decision_safety, oracles.check_decision_safety):
             with pytest.raises(InfiniteLoss) as info:
                 check(ptilde, u, v, LossFunction(LOG), credal)
@@ -307,7 +308,7 @@ class TestDecisionSafety:
                 check(uniform, u, v, loss, CredalSet.from_vertices([uniform]))
             assert str(info.value) == "custom loss table lacks outcomes [2]", check.__name__
         # a conditioner that is not essentially unique is still reported first
-        ptilde = Pmf.normalized(space, {"u0v0": 1, "u1v0": 1, "u2v0": 1})
+        ptilde = normalized(space, {"u0v0": 1, "u1v0": 1, "u2v0": 1})
         with pytest.raises(NotEssentiallyUnique):
             check_decision_safety(ptilde, u, v, loss, CredalSet.from_vertices([uniform]))
 

@@ -34,10 +34,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import point_mass, value_pmf
 from conftest import map_hull_membership as hull_membership
 from conftest import rational_pmf
 from safeprob import safety
-from safeprob.core import CredalSet, OutcomeSpace, Pmf, Rv, condition, conditional_table, value_pmf
+from safeprob.core import CredalSet, OutcomeSpace, Pmf, Rv, condition, conditional_table
 from safeprob.safety import LEFT_FULL, RIGHT_DBLSQUARE, SafetyQuery, check_safety
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
@@ -228,7 +229,7 @@ def _dist_range_instance():
     ptilde = keeping_rows(rational_pmf(rng, cells))
     vertices = [keeping_rows(rational_pmf(rng, cells, full_support=False)) for _ in range(3)]
     vertices.append(keeping_rows({cell: Fraction(cell[1] == 0, 5) for cell in cells}))
-    vertices.append(Pmf.point_mass(space, "u0v0w1"))
+    vertices.append(point_mass(space, "u0v0w1"))
     return u, v, w, ptilde, CredalSet.from_vertices(vertices)
 
 

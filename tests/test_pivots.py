@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from conftest import joint_from_rows, pivotal_instance, product_space
+from oracles import pivot_equivalence
 import safeprob
-from safeprob import pivots
 from safeprob.core import CredalSet, OutcomeSpace, Pmf, Rv
 from safeprob.demos import monty_scenario
 from safeprob.errors import NotAPivot, NotFullSupport, UniquenessViolated, ValidationError
@@ -18,7 +19,6 @@ from safeprob.pivots import (
     canonical_pivot,
     check_pivot,
     check_pivotal_safety,
-    pivot_equivalence,
 )
 
 ONE, ZERO = (Fraction(1),), (Fraction(0),)
@@ -267,6 +267,6 @@ class TestPivotEquivalence:
     def test_search_beyond_cap_inherits_witness_direction(self, monkeypatch):
         rng = random.Random(97)
         inst = pivotal_instance(rng, safe=True)
-        monkeypatch.setattr(pivots, "_SEARCH_CAP", 0)
+        monkeypatch.setattr(oracles, "_SEARCH_CAP", 0)
         out = pivot_equivalence(inst["ptilde"], inst["U"], inst["V"], inst["credal"])
         assert out["simple_pivot_exists"] == out["pivotal_safe"]

@@ -28,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import mix, normalized, support
 from safeprob.calibration import check_calibrated_full, check_calibrated_mean
 from safeprob.core import (
     CredalSet,
@@ -36,8 +37,6 @@ from safeprob.core import (
     Rv,
     condition,
     format_value,
-    mix,
-    support,
     value_sort_key,
 )
 from safeprob.decisions import BRIER, CUSTOM, LOG, ZERO_ONE, LossFunction, check_decision_safety
@@ -127,7 +126,7 @@ def instances(draw, full_support=False, coarse_w=False):
     else:
         w = Rv(space, "W", dict(zip(atoms, draw(
             st.lists(st.integers(0, 1), min_size=n, max_size=n)))))
-    ptilde = Pmf.normalized(space, dict(zip(atoms, _weights(draw, n, full_support))))
+    ptilde = normalized(space, dict(zip(atoms, _weights(draw, n, full_support))))
     pt = ptilde.weights
 
     vertices = []
@@ -152,7 +151,7 @@ def instances(draw, full_support=False, coarse_w=False):
             weights = dict(zip(atoms, raw))
         if sum(weights.values()) == 0:
             continue
-        p = Pmf.normalized(space, weights)
+        p = normalized(space, weights)
         if p not in vertices:
             vertices.append(p)
     if not vertices:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import STRATEGIES, calibrated_instance, make_instance, mixed_instance, product_space
 from conftest import map_hull_membership as hull_membership
+from oracles import compose
 from safeprob.core import CredalSet, OutcomeSpace, Pmf, Rv
 from safeprob.demos import (
     dilation_extension_scenario,
@@ -14,15 +15,15 @@ from safeprob.demos import (
     monty_events,
     monty_scenario,
 )
-from safeprob.calibration import check_calibrated_full, check_calibrated_mean
-from safeprob.decisions import ZERO_ONE, LossFunction, check_decision_safety
+from safeprob.calibration import check_calibrated_full, check_calibrated_mean, ignores
+from safeprob.decisions import ZERO_ONE, LossFunction, check_decision_safety, decision_loss_table
 from safeprob.errors import (
     NonNumericTarget,
     NotEssentiallyUnique,
     UniquenessViolated,
     ValidationError,
 )
-from safeprob.pivots import PivotSpec, check_pivot, check_pivotal_safety
+from safeprob.pivots import PivotSpec, canonical_pivot, check_pivot, check_pivotal_safety
 from safeprob.safety import (
     HIERARCHY_IMPLICATIONS,
     LEFT_AVERAGE,
@@ -162,7 +163,8 @@ class TestGuards:
 
     @pytest.mark.parametrize("atoms", [["w", "x", "y", "z"], ["w", "x", "y"]])
     def test_checkers_reject_inputs_on_another_space(self, atoms):
-        """Every public checker raises ValidationError for a pragmatic
+        """Every public checker, and the loss table, ignore test and
+        canonical pivot, raises ValidationError for a pragmatic
         distribution or credal set on another space, of equal length or
         shorter, and checks inputs on an equal space built anew."""
         space = OutcomeSpace(["a", "b", "c", "d"])
@@ -177,7 +179,11 @@ class TestGuards:
             lambda pt, cs: check_decision_safety(pt, u, v, LossFunction(ZERO_ONE), cs),
             lambda pt, cs: check_pivot(spec, u, v, cs),
             lambda pt, cs: check_pivotal_safety(pt, u, v, spec, cs),
+            lambda pt, cs: decision_loss_table(pt, u, v, LossFunction(ZERO_ONE), cs),
+            lambda pt, cs: ignores(pt, u, v, v),
+            lambda pt, cs: canonical_pivot(pt, u, u),  # given U, no two outcomes tie
         ]
+        takes_no_credal_set = checkers[-2:]
         same = OutcomeSpace(space.atoms)  # spaces are compared by their atoms
         own, own_set = Pmf.uniform(same), CredalSet.from_vertices([Pmf.uniform(same)])
         for checker in checkers:
@@ -186,6 +192,8 @@ class TestGuards:
                            (own, CredalSet.from_vertices([Pmf(other, {"w": 1})]))):
                 if checker is checkers[4] and pt is not own:
                     continue  # the pivot check takes no pragmatic distribution
+                if checker in takes_no_credal_set and pt is own:
+                    continue
                 with pytest.raises(ValidationError, match="share one outcome space"):
                     checker(pt, cs)
 
@@ -212,7 +220,8 @@ class TestHierarchyReport:
             report = hierarchy_report(inst["U"], inst["V"], inst["ptilde"], inst["credal"])
             for name in ("valid", "sqerr", "dist-unbiased", "unbiased", "range", "calibrated"):
                 assert report[name].holds, name
-            from safeprob.core import condition, support, value_pmf
+            from oracles import support, value_pmf
+            from safeprob.core import condition
 
             ptilde, u, v = inst["ptilde"], inst["U"], inst["V"]
             independent = all(
@@ -314,7 +323,7 @@ class TestScalingInvariance:
             inst = mixed_instance(rng)
             a = Fraction(rng.choice([-3, -1, 2, 5]), rng.choice([1, 2]))
             b = Fraction(rng.randint(-4, 4))
-            scaled = inst["U"].compose("aU+b", lambda val: (a * val[0] + b,))
+            scaled = compose(inst["U"], "aU+b", lambda val: (a * val[0] + b,))
             for right in (RIGHT_DBLSQUARE, RIGHT_ANGLE, RIGHT_SQUARE, RIGHT_PLAIN):
                 base = check_safety(
                     SafetyQuery(inst["U"], LEFT_AVERAGE, inst["V"], right),
@@ -348,7 +357,7 @@ class TestStratification:
         # pragmatic conditionals depend on V only through W: safe for the
         # target given [V] stratified by W, though not unstratified.
         space, u, v = product_space(2, 3)
-        w = v.compose("W", lambda val: (Fraction(int(val[0] >= 1)),))
+        w = compose(v, "W", lambda val: (Fraction(int(val[0] >= 1)),))
         rows = {
             (Fraction(0),): {(Fraction(0),): Fraction(1, 4), (Fraction(1),): Fraction(3, 4)},
             (Fraction(1),): {(Fraction(0),): Fraction(2, 3), (Fraction(1),): Fraction(1, 3)},

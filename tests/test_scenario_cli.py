@@ -593,8 +593,20 @@ class TestCliSnapshot:
         assert json.loads(snap["report dilation.scn --u U --v V --json"][1])["command"] == "report"
         for argv in ("demo dilation", "demo monty-hall --json", "events dilation.scn"):
             assert argv in snap
-        code, stdout, stderr = snap["demos/01_dilation_and_the_hierarchy.py"]
-        assert (code, stderr) == (0, "") and stdout.startswith("Ignoring an observation")
+        demo_dir = Path(safeprob.__file__).resolve().parents[2] / "demos"
+        demos = {key: entry for key, entry in snap.items() if key.startswith("demos/")}
+        assert list(demos) == [f"demos/{path.name}" for path in sorted(demo_dir.glob("*.py"))]
+        assert all((code, stderr) == (0, "") for code, _, stderr in demos.values())
+        assert demos["demos/01_dilation_and_the_hierarchy.py"][1].startswith(
+            "Ignoring an observation")
+        assert ("Three equivalent faces of calibration, cross-checked:\n"
+                "  direct check: True\n"
+                "  safe given the forecast variable: True\n"
+                "  ignorable coarsening found: True (constant: True)\n"
+                ) in demos["demos/03_calibration_and_forecasts.py"][1]
+        assert ("three-way equivalence: {'marginal_safe': True, 'pivotal_safe': True, "
+                "'simple_pivot_exists': True, 'hypothesis_met': True}\n"
+                ) in demos["demos/04_pivots_and_decisions.py"][1]
         assert snap["check dilation.scn --u NO_SUCH_RV --v NO_SUCH_RV2 --w NO_SUCH_RV3 "
                     "--notion valid"][2] == "error: unknown rv 'NO_SUCH_RV'\n"
 

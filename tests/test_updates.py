@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import product_space, rational_pmf
+from oracles import support
 from safeprob.core import (
     CredalSet,
     LinearConstraint,
@@ -11,7 +12,6 @@ from safeprob.core import (
     Pmf,
     Rv,
     conditional_table,
-    support,
 )
 from safeprob.demos import monty_events, monty_partition_control
 from safeprob.errors import ValidationError, ZeroMassObservable
